@@ -24,8 +24,3 @@ print(f"surviving triangle ids: {list(main.surviving)}")
 verts = sorted({v for c in main.surviving
                 for v in trace.triangle_by_id(c).vertices})
 print(f"vertices spanned by the survivors: {verts}")
-
-# same trace with differential weight maintenance; must agree exactly
-diff = full_trace(g3, differential=True)
-print("\ndifferential path reproduces the reference records:",
-      diff.records == full_trace(g3).records)

@@ -50,13 +50,11 @@ from .oracle import (
 from .pruning import (
     MODE_EARLY_STOP,
     MODE_EXHAUSTIVE,
-    EmptyIterationError,
     EmptyTraceError,
     IterationRecord,
     Trace,
     full_trace,
     main_iteration,
-    prune_step,
 )
 from .triangles import (
     MinMax,
@@ -75,7 +73,6 @@ __all__ = [
     "BudgetExceededError",
     "CliqueResult",
     "DuplicateEdgeError",
-    "EmptyIterationError",
     "EmptyTraceError",
     "EmptyVertexSetError",
     "FIXTURE_NAMES",
@@ -119,7 +116,6 @@ __all__ = [
     "moon_moser",
     "parse_dimacs",
     "parse_edge_list",
-    "prune_step",
     "ring_sum",
     "subgraph_for_edge",
     "vertex_weight_vector",

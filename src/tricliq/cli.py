@@ -1,7 +1,7 @@
 """Command-line front end: generate, trace, clique, oracle, validate.
 
-Exit codes: 0 success, 1 input error, 2 budget exceeded, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 input error, 2 budget exceeded or out of memory,
+3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -155,12 +155,13 @@ def cmd_oracle(args) -> int:
 def cmd_validate(args) -> int:
     g = load_graph(args.input)
     t0 = time.perf_counter()
-    heuristic = extract_max_clique(g)
+    triangles = enumerate_triangles(g)
+    heuristic = extract_max_clique(g, triangles=triangles)
     t_heuristic = time.perf_counter() - t0
     report: dict = {
         "n": g.n,
         "m": g.m,
-        "triangles": len(enumerate_triangles(g)),
+        "triangles": len(triangles),
         "heuristic_size": heuristic.size,
         "heuristic_vertices": sorted(heuristic.vertices),
         "heuristic_verified": heuristic.is_verified_clique,
@@ -275,6 +276,9 @@ def main(argv=None) -> int:
         return 1
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
         return 2
     except (RuntimeError, AssertionError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

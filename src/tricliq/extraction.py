@@ -91,6 +91,7 @@ def _most_deficient_vertex(g: Graph, vertices: frozenset[int]) -> int:
 
 def _extract(
     g: Graph,
+    triangles: tuple[Triangle, ...],
     mode: str,
     seed_edge: int | None,
     depth: int,
@@ -99,17 +100,18 @@ def _extract(
     """Returns (vertices, seed edges, depth reached, fallback used, degenerate)."""
     if depth > cap:
         raise RuntimeError(f"extraction recursion exceeded depth cap {cap}")
-    triangles = enumerate_triangles(g)
     if not triangles:
         if g.m:
             return frozenset(g.endpoints(1)), (), depth, False, True
         return frozenset({1}), (), depth, False, True
-    trace = full_trace(g, mode=mode, triangles=triangles)
-    return _extract_from_trace(g, triangles, trace, mode, seed_edge, depth, cap)
+    record = full_trace(g, mode=mode, triangles=triangles).main_iteration()
+    return _extract_from_record(
+        g, triangles, record, record.surviving, mode, seed_edge, depth, cap)
 
 
-def _extract_from_trace(g, triangles, trace, mode, seed_edge, depth, cap):
-    record = trace.main_iteration()
+def _extract_from_record(g, triangles, record, surviving, mode, seed_edge, depth, cap):
+    """Extraction from the main ``record``, whose surviving ids the caller
+    passes so that several seed edges can share them."""
     if seed_edge is None:
         edge = record.min_edges[0]
     else:
@@ -118,7 +120,7 @@ def _extract_from_trace(g, triangles, trace, mode, seed_edge, depth, cap):
                 f"seed edge {seed_edge} does not attain the minimum weight "
                 f"{record.min_weight} in the main iteration")
         edge = seed_edge
-    h, _inside = subgraph_for_edge(g, record.surviving, edge, triangles=triangles)
+    h, _inside = subgraph_for_edge(g, surviving, edge, triangles=triangles)
     if is_clique(g, h):
         return h, (edge,), depth, False, False
 
@@ -129,17 +131,17 @@ def _extract_from_trace(g, triangles, trace, mode, seed_edge, depth, cap):
         h = h - {_most_deficient_vertex(g, h)}
         fallback = True
     sub = g.induced_subgraph(h)
-    verts, seeds, final_depth, fb, degen = _extract(sub.graph, mode, None, depth + 1, cap)
+    verts, seeds, final_depth, fb, degen = _extract(
+        sub.graph, enumerate_triangles(sub.graph), mode, None, depth + 1, cap)
     mapped_verts = frozenset(sub.parent_vertex(v) for v in verts)
     mapped_seeds = tuple(sub.parent_edge(e) for e in seeds)
     return mapped_verts, (edge,) + mapped_seeds, final_depth, fallback or fb, degen
 
 
-def _finish(g: Graph, raw) -> CliqueResult:
+def _finish(g: Graph, raw, triangles: Sequence[Triangle]) -> CliqueResult:
+    """Wrap a raw extraction; ``triangles`` are all of ``g``'s, in id order."""
     vertices, seeds, depth, fallback, degenerate = raw
-    witnesses = tuple(
-        t.id for t in enumerate_triangles(g) if vertices.issuperset(t.vertices)
-    )
+    witnesses = tuple(t.id for t in triangles if vertices.issuperset(t.vertices))
     return CliqueResult(
         vertices=vertices,
         witness_triangles=witnesses,
@@ -155,15 +157,19 @@ def extract_max_clique(
     g: Graph,
     mode: str = MODE_EXHAUSTIVE,
     seed_edge: int | None = None,
+    triangles: Sequence[Triangle] | None = None,
 ) -> CliqueResult:
     """Run the full pipeline: trace, main iteration, seed edge, subgraph, recurse.
 
     The seed edge defaults to the lowest-numbered edge attaining the minimum
     weight; pass ``seed_edge`` to reproduce a specific published choice (it
-    must attain the minimum).  On a triangle-free graph the result degrades
-    to the first edge, or the first vertex, flagged ``degenerate``.
+    must attain the minimum).  ``triangles``, when given, must be
+    ``enumerate_triangles(g)``; a caller that already holds them saves the
+    enumeration.  On a triangle-free graph the result degrades to the first
+    edge, or the first vertex, flagged ``degenerate``.
     """
-    return _finish(g, _extract(g, mode, seed_edge, 0, g.n))
+    triangles = enumerate_triangles(g) if triangles is None else tuple(triangles)
+    return _finish(g, _extract(g, triangles, mode, seed_edge, 0, g.n), triangles)
 
 
 @dataclass(frozen=True)
@@ -187,12 +193,13 @@ def cliques_per_min_edge(g: Graph, mode: str = MODE_EXHAUSTIVE) -> PerEdgeClique
     triangles = enumerate_triangles(g)
     if not triangles:
         return PerEdgeCliques(by_edge={}, distinct=())
-    trace = full_trace(g, mode=mode, triangles=triangles)
-    record = trace.main_iteration()
+    record = full_trace(g, mode=mode, triangles=triangles).main_iteration()
+    surviving = record.surviving
     by_edge = {}
     for edge in record.min_edges:
-        raw = _extract_from_trace(g, triangles, trace, mode, edge, 0, g.n)
-        by_edge[edge] = _finish(g, raw)
+        raw = _extract_from_record(
+            g, triangles, record, surviving, mode, edge, 0, g.n)
+        by_edge[edge] = _finish(g, raw, triangles)
     distinct = tuple(
         sorted({r.vertices for r in by_edge.values()}, key=lambda s: sorted(s))
     )

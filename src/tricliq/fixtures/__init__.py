@@ -21,6 +21,10 @@ class UnknownFixtureError(GraphError):
     pass
 
 
+class FixtureMismatchError(GraphError):
+    """A fixture's edge file disagrees with the counts in its sidecar."""
+
+
 @dataclass(frozen=True)
 class Fixture:
     name: str
@@ -44,7 +48,10 @@ def load_fixture(name: str) -> Fixture:
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     graph = parse_edge_list(_read(name, ".edges"))
     expected = json.loads(_read(name, ".expected.json"))
-    assert graph.n == expected["n"] and graph.m == expected["m"]
+    if (graph.n, graph.m) != (expected["n"], expected["m"]):
+        raise FixtureMismatchError(
+            f"fixture {name!r}: edge file has n={graph.n}, m={graph.m} but "
+            f"its sidecar expects n={expected['n']}, m={expected['m']}")
     return Fixture(name=name, graph=graph, expected=expected)
 
 

@@ -1,96 +1,89 @@
 """Iterative removal of triangles through minimum-weight edges.
 
-Starting from the full triangle set, each iteration recomputes the per-edge
-weight vector over the survivors, finds the edges whose weight equals the
-minimum (zeros excluded), and removes every triangle through such an edge.
-This repeats until nothing survives.  The iteration with the largest
-minimum weight is the main iteration; clique extraction starts from it.
+An edge's weight is the number of surviving triangles through it.  Each
+iteration finds the edges whose weight equals the minimum (zeros excluded)
+and removes every surviving triangle through such an edge.  This repeats
+until nothing survives.  The iteration with the largest minimum weight is
+the main iteration; clique extraction starts from it.
+
+The loop is the support-count peel of truss decomposition (Wang & Cheng,
+"Truss decomposition in massive networks", PVLDB 2012), and ``full_trace``
+runs it the same way: each edge's triangle list is built once, and edges sit
+in one bucket per weight.  An iteration takes the minimum bucket, removes the
+live triangles on those edges' lists, and moves each of the three edges of a
+removed triangle one bucket down.  Every edge list is scanned once, so a
+trace costs O(T + m) bucket and list steps plus the sorting of each
+iteration's minimum edges and removals, where T is the triangle count.
+
+Records keep only what each iteration decided: MIN, MAX, the minimum edges
+and the removed triangles.  An iteration's surviving ids and weight vector
+follow from the removals before it; they are rebuilt when read, so a caller
+pays for them only when it asks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import Graph, GraphError
-from .triangles import Triangle, WeightVector, enumerate_triangles, min_max
+from .triangles import Triangle, WeightVector, edge_weight_vector, enumerate_triangles
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_EARLY_STOP = "early-stop"
-
-
-class EmptyIterationError(GraphError):
-    """A pruning step was asked to run on an empty triangle set."""
 
 
 class EmptyTraceError(GraphError):
     """The graph has no triangles, so the trace has no main iteration."""
 
 
+class _Removals:
+    """Which iteration removed each triangle, shared by a trace's records.
+
+    ``at[t-1]`` is the index of the iteration that removed triangle ``t``;
+    the triangles alive at the start of iteration ``i`` are those with
+    ``at >= i``.
+    """
+
+    __slots__ = ("graph", "triangles", "at")
+
+    def __init__(self, graph: Graph, triangles: tuple[Triangle, ...], at: list[int]):
+        self.graph = graph
+        self.triangles = triangles
+        self.at = at
+
+    def surviving(self, index: int) -> tuple[int, ...]:
+        return tuple(t for t, i in enumerate(self.at, 1) if i >= index)
+
+    def weights(self, index: int) -> WeightVector:
+        return edge_weight_vector(
+            self.graph, (self.triangles[t - 1] for t in self.surviving(index)))
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """One pruning iteration, before its removal is applied.
 
-    ``weights`` is computed over ``surviving``; ``removed`` is the subset
-    of ``surviving`` touching a minimum-weight edge.  The next iteration's
-    surviving set is ``surviving`` minus ``removed``.
+    ``removed`` is the subset of ``surviving`` touching a minimum-weight
+    edge; the next iteration's surviving set is ``surviving`` minus
+    ``removed``.  ``surviving`` and ``weights`` (counted over ``surviving``)
+    are not stored: each read rebuilds them in O(T + m).
     """
 
     index: int
-    surviving: tuple[int, ...]
-    weights: WeightVector
     min_weight: int
     max_weight: int
     min_edges: tuple[int, ...]
     removed: tuple[int, ...]
+    _removals: _Removals = field(compare=False, repr=False)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "i": self.index,
-            "min": self.min_weight,
-            "max": self.max_weight,
-            "min_edges": list(self.min_edges),
-            "removed_ids": list(self.removed),
-            "weights": self.weights.to_list(),
-        }
+    @property
+    def surviving(self) -> tuple[int, ...]:
+        return self._removals.surviving(self.index)
 
-
-def prune_step(
-    g: Graph,
-    triangles: Sequence[Triangle],
-    current: Iterable[int],
-    index: int = 0,
-) -> tuple[IterationRecord, tuple[int, ...]]:
-    """Run a single iteration on the triangle ids in ``current``."""
-    ids = sorted(set(current))
-    if not ids:
-        raise EmptyIterationError("pruning step needs a non-empty triangle set")
-    by_id = {t.id: t for t in triangles}
-    counts = [0] * g.m
-    for c in ids:
-        for e in by_id[c].edges:
-            counts[e - 1] += 1
-    return _make_record(g, by_id, ids, counts, index)
-
-
-def _make_record(g, by_id, ids, counts, index):
-    weights = WeightVector(tuple(counts), "edge")
-    lo, hi, _ = min_max(weights)
-    min_edges = tuple(e for e in range(1, g.m + 1) if counts[e - 1] == lo)
-    min_set = set(min_edges)
-    removed = tuple(c for c in ids if min_set.intersection(by_id[c].edges))
-    record = IterationRecord(
-        index=index,
-        surviving=tuple(ids),
-        weights=weights,
-        min_weight=lo,
-        max_weight=hi,
-        min_edges=min_edges,
-        removed=removed,
-    )
-    removed_set = set(removed)
-    survivors = tuple(c for c in ids if c not in removed_set)
-    return record, survivors
+    @property
+    def weights(self) -> WeightVector:
+        return self._removals.weights(self.index)
 
 
 @dataclass(frozen=True)
@@ -130,66 +123,107 @@ class Trace:
         return self.triangles[tid - 1]
 
     def to_json_obj(self) -> list[dict]:
-        return [r.to_json_obj() for r in self.records]
+        """One object per record; the weights come from a single count array
+        decremented by each record's removals."""
+        if not self.records:
+            return []
+        counts = self.records[0].weights.to_list()
+        out = []
+        for r in self.records:
+            out.append({
+                "i": r.index,
+                "min": r.min_weight,
+                "max": r.max_weight,
+                "min_edges": list(r.min_edges),
+                "removed_ids": list(r.removed),
+                "weights": list(counts),
+            })
+            for t in r.removed:
+                for e in self.triangles[t - 1].edges:
+                    counts[e - 1] -= 1
+        return out
 
 
 def full_trace(
     g: Graph,
     mode: str = MODE_EXHAUSTIVE,
     triangles: Sequence[Triangle] | None = None,
-    differential: bool = False,
 ) -> Trace:
     """Iterate from the full triangle set until exhaustion and record each step.
 
-    ``mode`` selects when the loop ends: ``"exhaustive"`` runs until the
-    triangle set is empty, ``"early-stop"`` additionally stops at the first
-    iteration whose MIN equals MAX.  (The removal rule empties the set right
-    after a MIN=MAX iteration, so both modes record the same iterations; the
-    modes differ in which record the trace designates as main.)
+    ``mode`` selects which record the trace designates as main (see
+    ``Trace.main_index``): ``"exhaustive"`` takes the largest MIN,
+    ``"early-stop"`` the first iteration whose MIN equals MAX.  Both modes
+    record the same iterations, because a MIN=MAX iteration removes every
+    surviving triangle.
 
-    ``differential=True`` maintains the weight vector by decrements instead
-    of recomputing it from the surviving set; the two paths must agree
-    exactly and the test suite holds them to that.
+    The loop is the bucket-queue peel described in the module docstring:
+    the minimum pointer falls back when a decrement lands below it, and the
+    maximum pointer only moves down.  ``triangles`` must be ``g``'s
+    triangles in enumeration order (id ``t`` at position ``t - 1``).
     """
     if mode not in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
         raise GraphError(f"unknown trace mode {mode!r}")
     if triangles is None:
         triangles = enumerate_triangles(g)
-    by_id = {t.id: t for t in triangles}
-    ids = sorted(by_id)
+    triangles = tuple(triangles)
     bound = g.n * (g.n - 1) * (g.n - 2) // 6
 
-    counts = [0] * g.m
+    through: list[list[int]] = [[] for _ in range(g.m + 1)]
     for t in triangles:
         for e in t.edges:
-            counts[e - 1] += 1
+            through[e].append(t.id)
+    weight = [len(ids) for ids in through]
+    buckets: list[set[int]] = [set() for _ in range(max(weight, default=0) + 1)]
+    for e in range(1, g.m + 1):
+        if weight[e]:
+            buckets[weight[e]].add(e)
+    lo, hi = 1, len(buckets) - 1
 
+    removed_at = [-1] * len(triangles)
+    removals = _Removals(g, triangles, removed_at)
+    alive = len(triangles)
     records: list[IterationRecord] = []
-    while ids:
-        if not differential:
-            counts = [0] * g.m
-            for c in ids:
-                for e in by_id[c].edges:
-                    counts[e - 1] += 1
-        record, survivors = _make_record(g, by_id, ids, counts, len(records))
-        records.append(record)
+    while alive:
+        while not buckets[lo]:
+            lo += 1
+        while not buckets[hi]:
+            hi -= 1
+        index = len(records)
+        min_weight = lo
+        min_edges = sorted(buckets[lo])
+        removed = []
+        for e in min_edges:
+            for t in through[e]:
+                if removed_at[t - 1] < 0:
+                    removed_at[t - 1] = index
+                    removed.append(t)
+        if not removed:
+            raise RuntimeError("pruning removed nothing; invariant violated")
+        removed.sort()
+        for t in removed:
+            for e in triangles[t - 1].edges:
+                w = weight[e]
+                buckets[w].remove(e)
+                w -= 1
+                weight[e] = w
+                if w:
+                    buckets[w].add(e)
+                    if w < lo:
+                        lo = w
+        alive -= len(removed)
+        records.append(IterationRecord(
+            index=index,
+            min_weight=min_weight,
+            max_weight=hi,
+            min_edges=tuple(min_edges),
+            removed=tuple(removed),
+            _removals=removals,
+        ))
         if len(records) > bound:
             raise RuntimeError(
                 f"trace exceeded its iteration bound {bound}; pruning is stuck")
-        if not record.removed:
-            raise RuntimeError("pruning removed nothing; invariant violated")
-        if differential:
-            for c in record.removed:
-                for e in by_id[c].edges:
-                    counts[e - 1] -= 1
-        ids = list(survivors)
-        if (
-            mode == MODE_EARLY_STOP
-            and record.min_weight == record.max_weight
-            and record.min_weight > 0
-        ):
-            break
-    return Trace(records=tuple(records), mode=mode, triangles=tuple(triangles))
+    return Trace(records=tuple(records), mode=mode, triangles=triangles)
 
 
 def main_iteration(trace: Trace) -> IterationRecord:

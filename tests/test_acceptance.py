@@ -13,6 +13,7 @@ import pytest
 
 from tricliq import (
     MODE_EARLY_STOP,
+    MODE_EXHAUSTIVE,
     cliques_per_min_edge,
     complete,
     complete_multipartite,
@@ -30,6 +31,7 @@ from tricliq import (
 )
 
 from conftest import gnp
+from trace_reference import assert_matches_reference, reference_trace
 
 CORPUS_SIZE = 1000
 
@@ -191,13 +193,15 @@ def test_criterion_8c_agreement_rate_report(corpus_runs):
 
 
 def test_criterion_8d_differential_weights_agree(corpus):
+    # two independent computations: the bucket-queue engine, which keeps
+    # weights by decrements, against a from-scratch recount per iteration
     for g in corpus:
-        reference = full_trace(g)
-        differential = full_trace(g, differential=True)
-        assert reference.records == differential.records
+        for mode in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
+            assert_matches_reference(full_trace(g, mode=mode),
+                                     reference_trace(g, mode))
     _report("8d", True,
-            f"differential and from-scratch weights agree on all "
-            f"{len(corpus)} graphs")
+            f"engine and from-scratch records, weights and survivors agree "
+            f"on all {len(corpus)} graphs in both modes")
 
 
 def test_criterion_8e_membership_count_inside_oracle_cliques(corpus):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tricliq import format_edge_list, moon_moser
+from tricliq import enumerate_triangles, format_edge_list, moon_moser
 from tricliq.cli import main
 
 
@@ -179,6 +179,38 @@ def test_exit_code_budget_exceeded(capsys, g3_path):
     code, _, err = run(capsys, "oracle", g3_path, "--budget", "2")
     assert code == 2
     assert "budget" in err
+
+
+def test_exit_code_out_of_memory(capsys, monkeypatch, g3_path):
+    import tricliq.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "full_trace", exhausted)
+    code, out, err = run(capsys, "trace", g3_path)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "input too large" in err
+
+
+def test_validate_enumerates_triangles_once(capsys, monkeypatch, g3_path):
+    import tricliq.cli as cli
+    import tricliq.extraction as extraction
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return enumerate_triangles(g)
+
+    monkeypatch.setattr(cli, "enumerate_triangles", counted)
+    monkeypatch.setattr(extraction, "enumerate_triangles", counted)
+    code, out, _ = run(capsys, "validate", g3_path, "--json")
+    assert code == 0
+    assert json.loads(out)["triangles"] == 39
+    # g3's first candidate subgraph is already a clique, so no recursion
+    assert len(calls) == 1
 
 
 def test_exit_code_usage_error(capsys):

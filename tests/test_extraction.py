@@ -155,6 +155,17 @@ class TestPerEdgeVariants:
         assert sorted(per_edge.by_edge) == [1, 2, 3, 4, 5, 6]
         assert per_edge.distinct == (frozenset({1, 2, 3, 4}),)
 
+    def test_witnesses_match_a_fresh_enumeration(self, g1, g2, g3, g4, turan13):
+        graphs = [fx.graph for fx in (g1, g2, g3, g4, turan13)]
+        graphs += [gnp(14, 0.5, seed) for seed in range(10)]
+        for g in graphs:
+            fresh = enumerate_triangles(g)
+            results = list(cliques_per_min_edge(g).by_edge.values())
+            results.append(extract_max_clique(g))
+            for r in results:
+                assert r.witness_triangles == tuple(
+                    t.id for t in fresh if r.vertices.issuperset(t.vertices))
+
     def test_triangle_free_graph_yields_nothing(self):
         per_edge = cliques_per_min_edge(moon_moser(2))
         assert per_edge.by_edge == {} and per_edge.distinct == ()

@@ -15,7 +15,7 @@ from tricliq import (
     load_fixture,
     moon_moser,
 )
-from tricliq.fixtures import UnknownFixtureError
+from tricliq.fixtures import FixtureMismatchError, UnknownFixtureError
 
 
 def reconstruct_edge_endpoints(table, m):
@@ -87,3 +87,25 @@ def test_g2_fixture_documents_published_discrepancy(g2):
     actual = [tuple(c) for c in g2.expected["distinct_cliques"]]
     assert set(actual) < set(published)
     assert (1, 3, 4, 6, 7) in set(published) - set(actual)
+
+
+def test_sidecar_count_mismatch_raises(monkeypatch):
+    import json
+    import tricliq.fixtures as fixtures
+
+    read = fixtures._read
+
+    def skewed(name, suffix):
+        text = read(name, suffix)
+        if suffix != ".expected.json":
+            return text
+        expected = json.loads(text)
+        expected["m"] += 1
+        return json.dumps(expected)
+
+    monkeypatch.setattr(fixtures, "_read", skewed)
+    with pytest.raises(FixtureMismatchError) as info:
+        load_fixture("g3")
+    message = str(info.value)
+    assert "'g3'" in message
+    assert "n=12, m=38" in message and "n=12, m=39" in message

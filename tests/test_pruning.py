@@ -2,19 +2,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricliq import (
-    EmptyIterationError,
     EmptyTraceError,
+    Graph,
     MODE_EARLY_STOP,
+    MODE_EXHAUSTIVE,
     complete,
     edge_weight_vector,
     enumerate_triangles,
     full_trace,
     main_iteration,
     moon_moser,
-    prune_step,
 )
 
 from conftest import gnp
+from trace_reference import (
+    EmptyIterationError,
+    assert_matches_reference,
+    prune_step,
+    reference_trace,
+)
+
+MODES = (MODE_EXHAUSTIVE, MODE_EARLY_STOP)
 
 
 class TestG1Trace:
@@ -99,6 +107,8 @@ def test_unknown_mode_rejected(g2):
 
 
 class TestPruneStep:
+    """The from-scratch reference step, which the engine is checked against."""
+
     def test_single_triangle_removes_itself(self):
         g = complete(3)
         tris = enumerate_triangles(g)
@@ -116,7 +126,12 @@ class TestPruneStep:
         tris = enumerate_triangles(g)
         record, survivors = prune_step(g, tris, range(1, 31))
         trace = full_trace(g)
-        assert record == trace.records[0]
+        assert_matches_reference(trace, reference_trace(g, MODE_EXHAUSTIVE))
+        got = trace.records[0]
+        assert (got.index, got.surviving, got.weights, got.min_weight,
+                got.max_weight, got.min_edges, got.removed) == (
+            record.index, record.surviving, record.weights, record.min_weight,
+            record.max_weight, record.min_edges, record.removed)
         assert survivors == trace.records[1].surviving
 
 
@@ -124,6 +139,7 @@ class TestMainIteration:
     def test_empty_trace_raises(self):
         trace = full_trace(moon_moser(2))
         assert trace.records == ()
+        assert trace.to_json_obj() == []
         assert trace.main_index is None
         with pytest.raises(EmptyTraceError):
             trace.main_iteration()
@@ -131,6 +147,37 @@ class TestMainIteration:
     def test_single_triangle_graph(self):
         trace = full_trace(complete(3))
         assert trace.main_index == 0
+
+    def test_single_triangle_with_pendant_edges(self):
+        # edges 1..3 form the triangle; 4 and 5 hang off it with weight 0
+        g = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+        for mode in MODES:
+            trace = full_trace(g, mode=mode)
+            assert_matches_reference(trace, reference_trace(g, mode))
+            (rec,) = trace.records
+            assert (rec.min_weight, rec.max_weight) == (1, 1)
+            assert rec.min_edges == (1, 2, 3) and rec.removed == (1,)
+            assert rec.surviving == (1,)
+            assert rec.weights.to_list() == [1, 1, 1, 0, 0]
+            assert trace.main_index == 0
+
+    def test_triangle_free_graph(self):
+        g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+        for mode in MODES:
+            trace = full_trace(g, mode=mode)
+            assert trace.records == () and reference_trace(g, mode) == []
+            assert trace.to_json_obj() == []
+
+    def test_complete_graph_is_uniform_at_iteration_0(self):
+        # every edge of K_n lies on n-2 triangles, so MIN = MAX at once and
+        # the single iteration removes all C(n,3) triangles
+        for n in range(3, 9):
+            trace = full_trace(complete(n), mode=MODE_EARLY_STOP)
+            assert_matches_reference(trace, reference_trace(complete(n), MODE_EARLY_STOP))
+            (rec,) = trace.records
+            assert rec.min_weight == rec.max_weight == n - 2
+            assert len(rec.removed) == n * (n - 1) * (n - 2) // 6
+            assert trace.main_index == 0
 
     def test_moon_moser_first_iteration_already_uniform(self):
         for k in (3, 4):
@@ -156,10 +203,9 @@ def test_trace_invariants_on_random_graphs(n, p, seed):
     g = gnp(n, p, seed)
     tris = enumerate_triangles(g)
     trace = full_trace(g)
-    diff = full_trace(g, differential=True)
 
-    # differential maintenance must match the from-scratch reference bit-for-bit
-    assert trace.records == diff.records
+    # the bucket-queue engine must match the from-scratch recount bit-for-bit
+    assert_matches_reference(trace, reference_trace(g, MODE_EXHAUSTIVE))
 
     # early-stop records the same iterations (removal empties the set at MIN=MAX)
     early = full_trace(g, mode=MODE_EARLY_STOP)
@@ -183,3 +229,17 @@ def test_trace_invariants_on_random_graphs(n, p, seed):
                       if min_set & set(by_id[c].edges)]
         assert list(rec.removed) == expected_q
     assert len(trace.records) <= g.n * (g.n - 1) * (g.n - 2) // 6
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_sets(), st.sampled_from(MODES))
+def test_engine_matches_reference_recount(g, mode):
+    assert_matches_reference(full_trace(g, mode=mode), reference_trace(g, mode))

@@ -1,0 +1,91 @@
+"""From-scratch pruning trace: the reference the bucket-queue engine is held to.
+
+Every iteration recounts the weight of every edge over the surviving
+triangles and rescans all m edges for the minimum, exactly as the iteration
+is defined, with no state carried between iterations.  It costs
+O(iterations * (T + m)), so the tests run it only on small graphs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+from tricliq import (
+    MODE_EARLY_STOP,
+    Graph,
+    GraphError,
+    Triangle,
+    WeightVector,
+    enumerate_triangles,
+    min_max,
+)
+
+
+class EmptyIterationError(GraphError):
+    """A pruning step was asked to run on an empty triangle set."""
+
+
+@dataclass(frozen=True)
+class ReferenceRecord:
+    index: int
+    surviving: tuple[int, ...]
+    weights: WeightVector
+    min_weight: int
+    max_weight: int
+    min_edges: tuple[int, ...]
+    removed: tuple[int, ...]
+
+
+def prune_step(
+    g: Graph,
+    triangles: Sequence[Triangle],
+    current: Iterable[int],
+    index: int = 0,
+) -> tuple[ReferenceRecord, tuple[int, ...]]:
+    """Run a single iteration on the triangle ids in ``current``."""
+    ids = sorted(set(current))
+    if not ids:
+        raise EmptyIterationError("pruning step needs a non-empty triangle set")
+    by_id = {t.id: t for t in triangles}
+    counts = [0] * g.m
+    for c in ids:
+        for e in by_id[c].edges:
+            counts[e - 1] += 1
+    weights = WeightVector(tuple(counts), "edge")
+    lo, hi, _ = min_max(weights)
+    min_edges = tuple(e for e in range(1, g.m + 1) if counts[e - 1] == lo)
+    min_set = set(min_edges)
+    removed = tuple(c for c in ids if min_set.intersection(by_id[c].edges))
+    record = ReferenceRecord(index, tuple(ids), weights, lo, hi, min_edges, removed)
+    removed_set = set(removed)
+    return record, tuple(c for c in ids if c not in removed_set)
+
+
+def reference_trace(g: Graph, mode: str) -> list[ReferenceRecord]:
+    """Iterate ``prune_step`` until nothing survives; under early-stop mode
+    also stop after the first iteration whose MIN equals MAX."""
+    triangles = enumerate_triangles(g)
+    ids = tuple(t.id for t in triangles)
+    records = []
+    while ids:
+        record, ids = prune_step(g, triangles, ids, len(records))
+        records.append(record)
+        if mode == MODE_EARLY_STOP and record.min_weight == record.max_weight:
+            break
+    return records
+
+
+FIELDS = ("index", "min_weight", "max_weight", "min_edges", "removed",
+          "surviving", "weights")
+
+
+def assert_matches_reference(trace, reference: list[ReferenceRecord]) -> None:
+    """Every field of every record, the rebuilt ``surviving`` and
+    ``weights`` included, equals the reference's; so does the JSON export."""
+    assert len(trace.records) == len(reference)
+    for got, want in zip(trace.records, reference):
+        for name in FIELDS:
+            assert getattr(got, name) == getattr(want, name), (got.index, name)
+    assert [o["weights"] for o in trace.to_json_obj()] == \
+        [r.weights.to_list() for r in reference]
