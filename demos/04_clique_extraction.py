@@ -1,8 +1,11 @@
-"""Extracting cliques: direct hits, per-edge variants, and recursion.
+"""Extracting cliques: direct hits, per-edge variants, and deeper levels.
 
 Once the main iteration is fixed, each minimum-weight edge seeds a candidate
 subgraph.  Different seeds can reach different (equally large) cliques, and
-a seed whose subgraph is not complete triggers recursion on that subgraph.
+a seed whose subgraph is not complete starts another level: the triangles
+inside that subgraph are traced again and a new seed is taken from their
+main iteration, until the subgraph is complete.  ``depth`` counts the
+levels after the first.
 """
 
 from tricliq import (
@@ -33,7 +36,7 @@ print(f"  {len(pe4.by_edge)} minimum-weight edges explored")
 for s in pe4.distinct:
     print(f"  {sorted(s)}")
 
-print("\n13-vertex multipartite graph: recursion in action")
+print("\n13-vertex multipartite graph: a second level in action")
 t13 = load_fixture("turan13").graph
 r13 = extract_max_clique(t13)
 print(f"  clique {sorted(r13.vertices)} size={r13.size} "

@@ -23,7 +23,6 @@ from .graph import (
     EmptyVertexSetError,
     Graph,
     GraphError,
-    InducedSubgraph,
     NonseparabilityReport,
     SelfLoopError,
     VertexRangeError,
@@ -42,7 +41,6 @@ from .io import (
 from .oracle import (
     BudgetExceededError,
     OracleResult,
-    absorb_terms,
     enumerate_maximal_cliques,
     maghout_cliques,
     max_clique_exact,
@@ -54,7 +52,6 @@ from .pruning import (
     IterationRecord,
     Trace,
     full_trace,
-    main_iteration,
 )
 from .triangles import (
     MinMax,
@@ -80,7 +77,6 @@ __all__ = [
     "FormatError",
     "Graph",
     "GraphError",
-    "InducedSubgraph",
     "IterationRecord",
     "MODE_EARLY_STOP",
     "MODE_EXHAUSTIVE",
@@ -94,7 +90,6 @@ __all__ = [
     "Triangle",
     "VertexRangeError",
     "WeightVector",
-    "absorb_terms",
     "check_nonseparable",
     "cliques_per_min_edge",
     "complete",
@@ -110,7 +105,6 @@ __all__ = [
     "load_fixture",
     "load_graph",
     "maghout_cliques",
-    "main_iteration",
     "max_clique_exact",
     "min_max",
     "moon_moser",

@@ -1,7 +1,7 @@
 """Command-line front end: generate, trace, clique, oracle, validate.
 
-Exit codes: 0 success, 1 input error, 2 budget exceeded or out of memory,
-3 internal invariant violation.
+Exit codes: 0 success, 1 input error, 2 budget exceeded, out of memory or
+recursion too deep, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -279,6 +279,11 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("error: input too large: out of memory", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # a subclass of RuntimeError, so it must be caught first
+        print("error: input too large: recursion limit exceeded",
+              file=sys.stderr)
         return 2
     except (RuntimeError, AssertionError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -4,6 +4,13 @@ A minimum-weight edge of the main iteration is chosen, the triangles through
 it are gathered, and the union of their vertices forms the candidate
 subgraph H.  If H induces a complete graph it is the clique; otherwise the
 whole algorithm is re-applied to the subgraph induced by H.
+
+That re-application is a loop over the caller's one triangle list.  The
+triangles of the subgraph induced by H are exactly the graph's triangles
+inside H, so each level keeps the previous level's triangles inside H,
+under their original ids and edge ids, traces them, and takes the next seed
+from that trace's main iteration.  H shrinks at every level, and the level
+whose H is complete holds the clique's witness triangles.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ class NoTrianglesThroughEdgeError(GraphError):
 class CliqueResult:
     """Outcome of one extraction run.
 
-    ``seed_edges`` lists the chosen minimum-weight edge at each recursion
-    level, already mapped back to the labels of the original graph.
-    ``witness_triangles`` are the ids (in the original enumeration) of every
-    triangle lying fully inside the returned vertex set.
+    ``seed_edges`` lists the minimum-weight edge chosen at each level, by
+    its id in the input graph; ``recursion_depth`` counts the levels after
+    the first.  ``witness_triangles`` are the ids (in the input graph's
+    enumeration) of every triangle lying fully inside the returned vertex set.
     """
 
     vertices: frozenset[int]
@@ -36,11 +43,16 @@ class CliqueResult:
     is_verified_clique: bool
     recursion_depth: int
     degenerate: bool = False
-    fallback_used: bool = False
 
     @property
     def size(self) -> int:
         return len(self.vertices)
+
+    @property
+    def fallback_used(self) -> bool:
+        """Always False: H shrinks at every level, so extraction never has to
+        drop a vertex to make progress.  Kept for the JSON schema."""
+        return False
 
     def to_json_obj(self) -> dict:
         return {
@@ -59,98 +71,69 @@ def subgraph_for_edge(
     triangle_ids: Sequence[int],
     edge: int,
     triangles: Sequence[Triangle] | None = None,
-) -> tuple[frozenset[int], tuple[int, ...]]:
-    """Vertices reachable through ``edge``'s triangles, plus the triangles inside.
+) -> frozenset[int]:
+    """H: the union of the vertex triples of the listed triangles through ``edge``.
 
-    H is the union of the vertex triples of every listed triangle containing
-    ``edge``; the second element is every listed triangle whose vertices all
-    lie in H.
+    ``triangles``, when given, must be ``enumerate_triangles(g)``, so that
+    triangle ``c`` sits at position ``c - 1``.
     """
     g._check_edge(edge)
     if triangles is None:
         triangles = enumerate_triangles(g)
-    chosen = [triangles[c - 1] for c in triangle_ids]
-    through = [t for t in chosen if edge in t.edges]
-    if not through:
+    h: set[int] = set()
+    for c in triangle_ids:
+        t = triangles[c - 1]
+        if edge in t.edges:
+            h.update(t.vertices)
+    if not h:
         raise NoTrianglesThroughEdgeError(
             f"edge {edge} lies on no triangle of the given set")
-    h: set[int] = set()
-    for t in through:
-        h.update(t.vertices)
-    inside = tuple(t.id for t in chosen if h.issuperset(t.vertices))
-    return frozenset(h), inside
+    return frozenset(h)
 
 
-def _most_deficient_vertex(g: Graph, vertices: frozenset[int]) -> int:
-    """Vertex with the fewest neighbors inside ``vertices`` (lowest label on ties)."""
-    def internal_degree(v: int) -> int:
-        return len(g.neighbors(v) & vertices)
-
-    return min(sorted(vertices), key=internal_degree)
-
-
-def _extract(
+def _grow(
     g: Graph,
     triangles: tuple[Triangle, ...],
+    surviving: Sequence[int],
+    edge: int,
     mode: str,
-    seed_edge: int | None,
-    depth: int,
-    cap: int,
-) -> tuple[frozenset[int], tuple[int, ...], int, bool, bool]:
-    """Returns (vertices, seed edges, depth reached, fallback used, degenerate)."""
-    if depth > cap:
-        raise RuntimeError(f"extraction recursion exceeded depth cap {cap}")
-    if not triangles:
-        if g.m:
-            return frozenset(g.endpoints(1)), (), depth, False, True
-        return frozenset({1}), (), depth, False, True
-    record = full_trace(g, mode=mode, triangles=triangles).main_iteration()
-    return _extract_from_record(
-        g, triangles, record, record.surviving, mode, seed_edge, depth, cap)
+) -> CliqueResult:
+    """Grow a clique from ``edge``, a minimum edge of the main iteration over
+    all of ``g``'s ``triangles`` whose surviving ids are ``surviving``.
 
-
-def _extract_from_record(g, triangles, record, surviving, mode, seed_edge, depth, cap):
-    """Extraction from the main ``record``, whose surviving ids the caller
-    passes so that several seed edges can share them."""
-    if seed_edge is None:
-        edge = record.min_edges[0]
-    else:
-        if seed_edge not in record.min_edges:
-            raise GraphError(
-                f"seed edge {seed_edge} does not attain the minimum weight "
-                f"{record.min_weight} in the main iteration")
-        edge = seed_edge
-    h, _inside = subgraph_for_edge(g, surviving, edge, triangles=triangles)
-    if is_clique(g, h):
-        return h, (edge,), depth, False, False
-
-    fallback = False
-    if len(h) == g.n:
-        # recursing on the same vertex set would loop; drop the vertex that
-        # is missing the most internal edges and continue (non-standard step)
-        h = h - {_most_deficient_vertex(g, h)}
-        fallback = True
-    sub = g.induced_subgraph(h)
-    verts, seeds, final_depth, fb, degen = _extract(
-        sub.graph, enumerate_triangles(sub.graph), mode, None, depth + 1, cap)
-    mapped_verts = frozenset(sub.parent_vertex(v) for v in verts)
-    mapped_seeds = tuple(sub.parent_edge(e) for e in seeds)
-    return mapped_verts, (edge,) + mapped_seeds, final_depth, fallback or fb, degen
-
-
-def _finish(g: Graph, raw, triangles: Sequence[Triangle]) -> CliqueResult:
-    """Wrap a raw extraction; ``triangles`` are all of ``g``'s, in id order."""
-    vertices, seeds, depth, fallback, degenerate = raw
-    witnesses = tuple(t.id for t in triangles if vertices.issuperset(t.vertices))
-    return CliqueResult(
-        vertices=vertices,
-        witness_triangles=witnesses,
-        seed_edges=seeds,
-        is_verified_clique=is_clique(g, vertices),
-        recursion_depth=depth,
-        degenerate=degenerate,
-        fallback_used=fallback,
-    )
+    Each level's triangles are the previous level's that lie inside H, still
+    under their ids in ``triangles``, so they are exactly the triangles of
+    the subgraph induced by H.  The final level's list is the witnesses.
+    """
+    seeds = [edge]
+    level = triangles
+    n = g.n
+    while True:
+        h = subgraph_for_edge(g, surviving, edge, triangles=triangles)
+        level = tuple(t for t in level if h.issuperset(t.vertices))
+        if is_clique(g, h):
+            return CliqueResult(
+                vertices=h,
+                witness_triangles=tuple(t.id for t in level),
+                seed_edges=tuple(seeds),
+                is_verified_clique=True,
+                recursion_depth=len(seeds) - 1,
+            )
+        if len(h) == n:
+            # cannot happen: if the seed's surviving triangles span all n
+            # vertices, the seed weighs n - 2, so MIN is the most any edge
+            # can weigh; each edge from a seed endpoint then lies on
+            # surviving triangles with every other vertex, so H is complete
+            raise RuntimeError(
+                f"extraction from edge {edge} kept all {n} vertices of a "
+                "non-complete subgraph; invariant violated")
+        n = len(h)
+        record = full_trace(g, mode=mode, triangles=level).main_iteration()
+        surviving = record.surviving
+        # the subgraph induced by H numbers its edges in endpoint-pair
+        # order, so its lowest minimum edge has the smallest pair
+        edge = min(record.min_edges, key=g.endpoints)
+        seeds.append(edge)
 
 
 def extract_max_clique(
@@ -159,7 +142,7 @@ def extract_max_clique(
     seed_edge: int | None = None,
     triangles: Sequence[Triangle] | None = None,
 ) -> CliqueResult:
-    """Run the full pipeline: trace, main iteration, seed edge, subgraph, recurse.
+    """Run the full pipeline: trace, main iteration, seed edge, subgraph, repeat.
 
     The seed edge defaults to the lowest-numbered edge attaining the minimum
     weight; pass ``seed_edge`` to reproduce a specific published choice (it
@@ -169,7 +152,24 @@ def extract_max_clique(
     edge, or the first vertex, flagged ``degenerate``.
     """
     triangles = enumerate_triangles(g) if triangles is None else tuple(triangles)
-    return _finish(g, _extract(g, triangles, mode, seed_edge, 0, g.n), triangles)
+    if not triangles:
+        vertices = frozenset(g.endpoints(1) if g.m else (1,))
+        return CliqueResult(
+            vertices=vertices,
+            witness_triangles=(),
+            seed_edges=(),
+            is_verified_clique=is_clique(g, vertices),
+            recursion_depth=0,
+            degenerate=True,
+        )
+    record = full_trace(g, mode=mode, triangles=triangles).main_iteration()
+    if seed_edge is None:
+        seed_edge = record.min_edges[0]
+    elif seed_edge not in record.min_edges:
+        raise GraphError(
+            f"seed edge {seed_edge} does not attain the minimum weight "
+            f"{record.min_weight} in the main iteration")
+    return _grow(g, triangles, record.surviving, seed_edge, mode)
 
 
 @dataclass(frozen=True)
@@ -195,11 +195,8 @@ def cliques_per_min_edge(g: Graph, mode: str = MODE_EXHAUSTIVE) -> PerEdgeClique
         return PerEdgeCliques(by_edge={}, distinct=())
     record = full_trace(g, mode=mode, triangles=triangles).main_iteration()
     surviving = record.surviving
-    by_edge = {}
-    for edge in record.min_edges:
-        raw = _extract_from_record(
-            g, triangles, record, surviving, mode, edge, 0, g.n)
-        by_edge[edge] = _finish(g, raw, triangles)
+    by_edge = {edge: _grow(g, triangles, surviving, edge, mode)
+               for edge in record.min_edges}
     distinct = tuple(
         sorted({r.vertices for r in by_edge.values()}, key=lambda s: sorted(s))
     )

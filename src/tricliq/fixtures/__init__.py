@@ -53,7 +53,3 @@ def load_fixture(name: str) -> Fixture:
             f"fixture {name!r}: edge file has n={graph.n}, m={graph.m} but "
             f"its sidecar expects n={expected['n']}, m={expected['m']}")
     return Fixture(name=name, graph=graph, expected=expected)
-
-
-def load_all() -> dict[str, Fixture]:
-    return {name: load_fixture(name) for name in FIXTURE_NAMES}

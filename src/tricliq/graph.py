@@ -46,7 +46,7 @@ class Graph:
     edge ``j`` as an ordered pair ``(u, v)`` with ``u < v``.
     """
 
-    __slots__ = ("n", "m", "edges", "_eid", "_adj", "_adj_mask", "_incident")
+    __slots__ = ("n", "m", "edges", "_eid", "_adj", "_adj_mask")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 1:
@@ -54,7 +54,6 @@ class Graph:
         edges: list[tuple[int, int]] = []
         eid: dict[tuple[int, int], int] = {}
         adj: list[set[int]] = [set() for _ in range(n + 1)]
-        incident: list[list[int]] = [[] for _ in range(n + 1)]
         for u, v in pairs:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
@@ -68,8 +67,6 @@ class Graph:
             eid[(u, v)] = len(edges)
             adj[u].add(v)
             adj[v].add(u)
-            incident[u].append(len(edges))
-            incident[v].append(len(edges))
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", len(edges))
@@ -81,14 +78,9 @@ class Graph:
             for u in adj[v]:
                 masks[v] |= 1 << u
         object.__setattr__(self, "_adj_mask", tuple(masks))
-        object.__setattr__(self, "_incident", tuple(tuple(l) for l in incident))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
-
-    @classmethod
-    def from_edge_list(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(n, pairs)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -132,10 +124,6 @@ class Graph:
         self._check_edge(e)
         return self.edges[e - 1]
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self._incident[v]
-
     def adjacency_mask(self, v: int) -> int:
         """Neighbor set of ``v`` as an int bitmask (bit ``u`` set iff u~v)."""
         self._check_vertex(v)
@@ -160,51 +148,6 @@ class Graph:
             if not self.has_edge(u, v)
         ]
         return Graph(self.n, pairs)
-
-    def induced_subgraph(self, vertices: Iterable[int]) -> "InducedSubgraph":
-        """Subgraph on ``vertices`` relabelled 1..k in ascending parent order.
-
-        Raises EmptyVertexSetError on an empty selection.
-        """
-        vs = sorted(set(vertices))
-        if not vs:
-            raise EmptyVertexSetError("induced subgraph needs at least one vertex")
-        for v in vs:
-            self._check_vertex(v)
-        sub_of = {p: i + 1 for i, p in enumerate(vs)}
-        pairs = []
-        parent_edges = []
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                if self.has_edge(u, v):
-                    pairs.append((sub_of[u], sub_of[v]))
-                    parent_edges.append(self.edge_id(u, v))
-        return InducedSubgraph(
-            graph=Graph(len(vs), pairs),
-            parent_vertices=tuple(vs),
-            sub_vertex_of=sub_of,
-            parent_edge_ids=tuple(parent_edges),
-        )
-
-
-@dataclass(frozen=True)
-class InducedSubgraph:
-    """An induced subgraph plus the index maps back to its parent.
-
-    ``parent_vertices[i-1]`` is the parent label of subgraph vertex ``i``;
-    ``parent_edge_ids[j-1]`` the parent label of subgraph edge ``j``.
-    """
-
-    graph: Graph
-    parent_vertices: tuple[int, ...]
-    sub_vertex_of: dict[int, int]
-    parent_edge_ids: tuple[int, ...]
-
-    def parent_vertex(self, sub_v: int) -> int:
-        return self.parent_vertices[sub_v - 1]
-
-    def parent_edge(self, sub_e: int) -> int:
-        return self.parent_edge_ids[sub_e - 1]
 
 
 @dataclass(frozen=True)

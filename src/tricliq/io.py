@@ -15,6 +15,25 @@ class FormatError(GraphError):
         self.line = line
 
 
+def _build(n: int, records: list[tuple[int, tuple[int, int]]],
+           header_line: int) -> Graph:
+    """The graph on ``n`` vertices with the pairs of the ``(line, pair)``
+    records.  A rejected pair (duplicate, self-loop, endpoint out of range)
+    is reported at its own line, a rejected vertex count at ``header_line``.
+    """
+    line = header_line
+
+    def pairs():
+        nonlocal line
+        for line, pair in records:
+            yield pair
+
+    try:
+        return Graph(n, pairs())
+    except GraphError as exc:
+        raise FormatError(str(exc), line) from exc
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain format: first line ``n m``, then m lines ``u v``."""
     lines = text.splitlines()
@@ -32,21 +51,18 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise FormatError("expected integer header 'n m'", lineno) from None
-    pairs = []
+    records = []
     for lineno, tok in rows[1:]:
         if len(tok) != 2:
             raise FormatError("expected 'u v'", lineno)
         try:
-            pairs.append((int(tok[0]), int(tok[1])))
+            records.append((lineno, (int(tok[0]), int(tok[1]))))
         except ValueError:
             raise FormatError("expected integer endpoints", lineno) from None
-    if len(pairs) != m:
-        raise FormatError(f"header declares {m} edges, found {len(pairs)}",
+    if len(records) != m:
+        raise FormatError(f"header declares {m} edges, found {len(records)}",
                           rows[0][0])
-    try:
-        return Graph(n, pairs)
-    except GraphError as exc:
-        raise FormatError(str(exc), rows[0][0]) from exc
+    return _build(n, records, rows[0][0])
 
 
 def format_edge_list(g: Graph) -> str:
@@ -59,7 +75,8 @@ def parse_dimacs(text: str) -> Graph:
     """Parse the DIMACS ascii clique format (``p edge n m`` / ``e u v``)."""
     n = None
     declared_m = None
-    pairs = []
+    problem_line = 1
+    records = []
     for i, raw in enumerate(text.splitlines(), start=1):
         ln = raw.strip()
         if not ln or ln.startswith("c"):
@@ -72,26 +89,25 @@ def parse_dimacs(text: str) -> Graph:
                 n, declared_m = int(tok[2]), int(tok[3])
             except ValueError:
                 raise FormatError("expected integers in problem line", i) from None
+            problem_line = i
         elif tok[0] == "e":
             if n is None:
                 raise FormatError("edge before problem line", i)
             if len(tok) != 3:
                 raise FormatError("expected 'e u v'", i)
             try:
-                pairs.append((int(tok[1]), int(tok[2])))
+                records.append((i, (int(tok[1]), int(tok[2]))))
             except ValueError:
                 raise FormatError("expected integer endpoints", i) from None
         else:
             raise FormatError(f"unknown record {tok[0]!r}", i)
     if n is None:
         raise FormatError("missing problem line", 1)
-    if declared_m != len(pairs):
+    if declared_m != len(records):
         raise FormatError(
-            f"problem line declares {declared_m} edges, found {len(pairs)}", 1)
-    try:
-        return Graph(n, pairs)
-    except GraphError as exc:
-        raise FormatError(str(exc), 1) from exc
+            f"problem line declares {declared_m} edges, found {len(records)}",
+            problem_line)
+    return _build(n, records, problem_line)
 
 
 def format_dimacs(g: Graph) -> str:

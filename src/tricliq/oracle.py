@@ -12,7 +12,7 @@ of them may be reimplemented in terms of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .graph import Graph
 
@@ -101,17 +101,9 @@ def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[froze
     return tuple(sorted(found, key=sorted))
 
 
-def absorb_terms(terms: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    """Minimal terms under absorption: drop any superset of another term."""
-    unique = sorted(set(map(frozenset, terms)), key=lambda t: (len(t), sorted(t)))
-    kept: list[frozenset[int]] = []
-    for t in unique:
-        if not any(k <= t for k in kept):
-            kept.append(t)
-    return tuple(kept)
-
-
 def _absorb_masks(masks: list[int]) -> list[int]:
+    """Minimal terms under absorption, each term a vertex bitmask: drop any
+    superset of another term; the rest come smallest first."""
     unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
     for m in unique:
@@ -129,14 +121,14 @@ def maghout_cliques(g: Graph, clause_budget: int = 30) -> tuple[frozenset[int], 
     such a cover is a maximal clique.  The expansion is exponential, hence
     the explicit clause budget.
     """
+    if g.n * (g.n - 1) // 2 - g.m > clause_budget:
+        raise BudgetExceededError("Maghout expansion clauses", clause_budget)
     clauses = [
         (u, v)
         for u in range(1, g.n + 1)
         for v in range(u + 1, g.n + 1)
         if not g.has_edge(u, v)
     ]
-    if len(clauses) > clause_budget:
-        raise BudgetExceededError("Maghout expansion clauses", clause_budget)
     terms = [0]
     for u, v in clauses:
         bu, bv = 1 << u, 1 << v

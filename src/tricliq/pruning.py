@@ -23,7 +23,10 @@ pays for them only when it asks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from .graph import Graph, GraphError
@@ -40,7 +43,7 @@ class EmptyTraceError(GraphError):
 class _Removals:
     """Which iteration removed each triangle, shared by a trace's records.
 
-    ``at[t-1]`` is the index of the iteration that removed triangle ``t``;
+    ``at[k]`` is the index of the iteration that removed ``triangles[k]``;
     the triangles alive at the start of iteration ``i`` are those with
     ``at >= i``.
     """
@@ -52,12 +55,14 @@ class _Removals:
         self.triangles = triangles
         self.at = at
 
+    def _alive(self, index: int):
+        return (t for t, i in zip(self.triangles, self.at) if i >= index)
+
     def surviving(self, index: int) -> tuple[int, ...]:
-        return tuple(t for t, i in enumerate(self.at, 1) if i >= index)
+        return tuple(t.id for t in self._alive(index))
 
     def weights(self, index: int) -> WeightVector:
-        return edge_weight_vector(
-            self.graph, (self.triangles[t - 1] for t in self.surviving(index)))
+        return edge_weight_vector(self.graph, self._alive(index))
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,8 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    """The full iteration history for one graph."""
+    """The full iteration history of ``triangles``: all of one graph's, or
+    the subset passed to ``full_trace``."""
 
     records: tuple[IterationRecord, ...]
     mode: str
@@ -120,7 +126,10 @@ class Trace:
         return [(r.min_weight, r.max_weight) for r in self.records]
 
     def triangle_by_id(self, tid: int) -> Triangle:
-        return self.triangles[tid - 1]
+        i = bisect_left(self.triangles, tid, key=attrgetter("id"))
+        if i == len(self.triangles) or self.triangles[i].id != tid:
+            raise GraphError(f"triangle {tid} is not in this trace")
+        return self.triangles[i]
 
     def to_json_obj(self) -> list[dict]:
         """One object per record; the weights come from a single count array
@@ -128,6 +137,7 @@ class Trace:
         if not self.records:
             return []
         counts = self.records[0].weights.to_list()
+        edges_of = {t.id: t.edges for t in self.triangles}
         out = []
         for r in self.records:
             out.append({
@@ -139,7 +149,7 @@ class Trace:
                 "weights": list(counts),
             })
             for t in r.removed:
-                for e in self.triangles[t - 1].edges:
+                for e in edges_of[t]:
                     counts[e - 1] -= 1
         return out
 
@@ -159,8 +169,9 @@ def full_trace(
 
     The loop is the bucket-queue peel described in the module docstring:
     the minimum pointer falls back when a decrement lands below it, and the
-    maximum pointer only moves down.  ``triangles`` must be ``g``'s
-    triangles in enumeration order (id ``t`` at position ``t - 1``).
+    maximum pointer only moves down.  ``triangles`` defaults to all of
+    ``g``'s; a caller may pass any of them in ascending id order, such as
+    those inside a vertex subset, and the records name them by their ids.
     """
     if mode not in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
         raise GraphError(f"unknown trace mode {mode!r}")
@@ -169,15 +180,17 @@ def full_trace(
     triangles = tuple(triangles)
     bound = g.n * (g.n - 1) * (g.n - 2) // 6
 
-    through: list[list[int]] = [[] for _ in range(g.m + 1)]
-    for t in triangles:
+    # triangles are handled by position k in ``triangles`` and reported by id
+    through: defaultdict[int, list[int]] = defaultdict(list)
+    for k, t in enumerate(triangles):
         for e in t.edges:
-            through[e].append(t.id)
-    weight = [len(ids) for ids in through]
-    buckets: list[set[int]] = [set() for _ in range(max(weight, default=0) + 1)]
-    for e in range(1, g.m + 1):
-        if weight[e]:
-            buckets[weight[e]].add(e)
+            through[e].append(k)
+    weight = [0] * (g.m + 1)
+    buckets: list[set[int]] = [set() for _ in range(
+        max(map(len, through.values()), default=0) + 1)]
+    for e, ks in through.items():
+        weight[e] = len(ks)
+        buckets[len(ks)].add(e)
     lo, hi = 1, len(buckets) - 1
 
     removed_at = [-1] * len(triangles)
@@ -194,15 +207,15 @@ def full_trace(
         min_edges = sorted(buckets[lo])
         removed = []
         for e in min_edges:
-            for t in through[e]:
-                if removed_at[t - 1] < 0:
-                    removed_at[t - 1] = index
-                    removed.append(t)
+            for k in through[e]:
+                if removed_at[k] < 0:
+                    removed_at[k] = index
+                    removed.append(k)
         if not removed:
             raise RuntimeError("pruning removed nothing; invariant violated")
         removed.sort()
-        for t in removed:
-            for e in triangles[t - 1].edges:
+        for k in removed:
+            for e in triangles[k].edges:
                 w = weight[e]
                 buckets[w].remove(e)
                 w -= 1
@@ -217,15 +230,10 @@ def full_trace(
             min_weight=min_weight,
             max_weight=hi,
             min_edges=tuple(min_edges),
-            removed=tuple(removed),
+            removed=tuple(triangles[k].id for k in removed),
             _removals=removals,
         ))
         if len(records) > bound:
             raise RuntimeError(
                 f"trace exceeded its iteration bound {bound}; pruning is stuck")
     return Trace(records=tuple(records), mode=mode, triangles=triangles)
-
-
-def main_iteration(trace: Trace) -> IterationRecord:
-    """The record holding the largest MIN value (ties: earliest)."""
-    return trace.main_iteration()

@@ -1,8 +1,10 @@
+import inspect
 import json
+import sys
 
 import pytest
 
-from tricliq import enumerate_triangles, format_edge_list, moon_moser
+from tricliq import complete, enumerate_triangles, format_edge_list, moon_moser
 from tricliq.cli import main
 
 
@@ -192,6 +194,23 @@ def test_exit_code_out_of_memory(capsys, monkeypatch, g3_path):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "input too large" in err
+
+
+def test_exit_code_recursion_too_deep(capsys, tmp_path):
+    # the exact search recurses once per clique vertex, so K_80 needs about
+    # 80 frames more than the CLI's own call stack
+    p = tmp_path / "k80.edges"
+    p.write_text(format_edge_list(complete(80)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        code, out, err = run(capsys, "oracle", str(p))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "input too large" in err
+    assert "recursion" in err
 
 
 def test_validate_enumerates_triangles_once(capsys, monkeypatch, g3_path):

@@ -1,9 +1,13 @@
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tricliq.extraction as extraction
 from tricliq import (
+    MODE_EARLY_STOP,
+    MODE_EXHAUSTIVE,
     Graph,
     GraphError,
     NoTrianglesThroughEdgeError,
@@ -19,6 +23,13 @@ from tricliq import (
 )
 
 from conftest import gnp
+from extraction_reference import (
+    most_deficient_vertex,
+    reference_extract,
+    reference_per_edge,
+)
+
+MODES = (MODE_EXHAUSTIVE, MODE_EARLY_STOP)
 
 
 class TestSubgraphForEdge:
@@ -26,14 +37,15 @@ class TestSubgraphForEdge:
         g = g1.graph
         trace = full_trace(g)
         c2 = trace.main_iteration().surviving
-        h, inside = subgraph_for_edge(g, c2, 4)
+        h = subgraph_for_edge(g, c2, 4)
         assert sorted(h) == [1, 2, 3, 4, 5]
-        assert len(inside) == 10
+        assert sum(h.issuperset(trace.triangle_by_id(c).vertices)
+                   for c in c2) == 10
         assert is_clique(g, h)
 
     def test_g2_edge_1(self, g2):
         tris = enumerate_triangles(g2.graph)
-        h, inside = subgraph_for_edge(g2.graph, [t.id for t in tris], 1)
+        h = subgraph_for_edge(g2.graph, [t.id for t in tris], 1)
         assert sorted(h) == [1, 2, 3, 6, 7]
 
     def test_turan13_edge_1(self, turan13):
@@ -41,7 +53,7 @@ class TestSubgraphForEdge:
         # parts and is not complete
         g = turan13.graph
         tris = enumerate_triangles(g)
-        h, _ = subgraph_for_edge(g, [t.id for t in tris], 1)
+        h = subgraph_for_edge(g, [t.id for t in tris], 1)
         assert sorted(h) == turan13.expected["e1_subgraph"]
         assert not is_clique(g, h)
 
@@ -172,12 +184,74 @@ class TestPerEdgeVariants:
 
 
 def test_most_deficient_vertex_selection(g2):
-    # the recursion guard drops the vertex with the fewest internal edges,
-    # breaking ties toward the smallest label
-    from tricliq.extraction import _most_deficient_vertex
+    # the reference's recursion guard drops the vertex with the fewest
+    # internal edges, breaking ties toward the smallest label
     g = g2.graph
-    assert _most_deficient_vertex(g, frozenset(range(1, 8))) == 2
-    assert _most_deficient_vertex(g, frozenset({3, 4, 5, 6, 7})) == 4
+    assert most_deficient_vertex(g, frozenset(range(1, 8))) == 2
+    assert most_deficient_vertex(g, frozenset({3, 4, 5, 6, 7})) == 4
+
+
+FIELDS = ("vertices", "seed_edges", "recursion_depth", "degenerate",
+          "fallback_used", "witness_triangles", "is_verified_clique")
+
+
+def assert_matches_reference(g: Graph) -> None:
+    """The loop and the recursive reference agree on every result field, for
+    one extraction and for every minimum edge, in both modes."""
+    for mode in MODES:
+        got, want = extract_max_clique(g, mode=mode), reference_extract(g, mode)
+        for name in FIELDS:
+            assert getattr(got, name) == getattr(want, name), (mode, name)
+        got = cliques_per_min_edge(g, mode=mode)
+        want_by_edge, want_distinct = reference_per_edge(g, mode)
+        assert list(got.by_edge) == list(want_by_edge)
+        assert got.distinct == want_distinct
+        for edge, result in got.by_edge.items():
+            for name in FIELDS:
+                assert getattr(result, name) == getattr(want_by_edge[edge], name), \
+                    (mode, edge, name)
+
+
+def test_loop_matches_recursive_reference_on_corpus():
+    # the acceptance corpus: n = 5..24, p = 0.3/0.5/0.7, seeds 0..999
+    for i in range(1000):
+        assert_matches_reference(gnp(5 + i % 20, (0.3, 0.5, 0.7)[i % 3], seed=i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 14), st.sampled_from([0.4, 0.6, 0.8]), st.integers(0, 10**6))
+def test_loop_matches_recursive_reference_on_shuffled_edge_ids(n, p, seed):
+    # shuffled edges with random endpoint order, so edge ids are not in
+    # lexicographic pair order and the deeper levels' seed rule matters
+    rng = random.Random(seed)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in gnp(n, p, seed).edges]
+    rng.shuffle(pairs)
+    assert_matches_reference(Graph(n, pairs))
+
+
+def test_each_call_enumerates_triangles_once(monkeypatch, turan13):
+    # turan13's extraction goes one level deep
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return enumerate_triangles(g)
+
+    monkeypatch.setattr(extraction, "enumerate_triangles", counted)
+    assert extract_max_clique(turan13.graph).recursion_depth == 1
+    assert len(calls) == 1
+    results = cliques_per_min_edge(turan13.graph).by_edge.values()
+    assert max(r.recursion_depth for r in results) >= 1
+    assert len(calls) == 2
+
+
+def test_subgraph_that_does_not_shrink_raises(monkeypatch):
+    # H = all of K_4; were it reported as not complete, the next level would
+    # be the same graph again
+    monkeypatch.setattr(extraction, "is_clique", lambda g, vs: False)
+    with pytest.raises(RuntimeError, match="invariant"):
+        extract_max_clique(complete(4))
 
 
 @settings(max_examples=60, deadline=None)

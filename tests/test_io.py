@@ -48,6 +48,30 @@ def test_edge_list_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text,line", [
+    ("3 2\n1 2\n\n2 1\n", 4),      # duplicate, endpoints flipped
+    ("3 2\n1 2\n# c\n2 2\n", 4),   # self-loop
+    ("3 2\n1 2\n2 4\n", 3),       # endpoint out of range
+    ("0 0\n", 1),                  # vertex count: the header
+])
+def test_edge_list_graph_errors_name_the_offending_row(text, line):
+    with pytest.raises(FormatError) as err:
+        parse_edge_list(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("text,line", [
+    ("p edge 3 2\ne 1 2\ne 2 1\n", 3),          # duplicate, endpoints flipped
+    ("c x\np edge 3 2\ne 1 2\nc y\ne 3 3\n", 5),  # self-loop
+    ("p edge 3 2\ne 4 1\ne 1 2\n", 2),          # endpoint out of range
+    ("c x\np edge 0 0\n", 2),                   # vertex count: the p line
+])
+def test_dimacs_graph_errors_name_the_offending_record(text, line):
+    with pytest.raises(FormatError) as err:
+        parse_dimacs(text)
+    assert err.value.line == line
+
+
 def test_dimacs_errors():
     with pytest.raises(FormatError):
         parse_dimacs("e 1 2\n")  # edge before problem line

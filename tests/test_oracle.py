@@ -1,16 +1,19 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricliq import (
     BudgetExceededError,
     Graph,
-    absorb_terms,
     complete,
     enumerate_maximal_cliques,
     maghout_cliques,
     max_clique_exact,
     moon_moser,
 )
+
+from tricliq.oracle import _absorb_masks
 
 from conftest import gnp
 
@@ -95,30 +98,50 @@ class TestMaghout:
         with pytest.raises(BudgetExceededError):
             maghout_cliques(g4.graph)  # complement is far above 30 clauses
 
+    def test_refusing_a_large_sparse_graph_costs_little_memory(self):
+        # the cycle C_3000 has about 4.5M complement clauses; refusing them
+        # must not list them first
+        g = Graph(3000, [(v, v % 3000 + 1) for v in range(1, 3001)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                maghout_cliques(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_agrees_with_enumeration_on_fixtures(self, g1, g2, g3):
         for fx in (g1, g2, g3):
             mag = maghout_cliques(fx.graph, clause_budget=60)
             assert set(mag) == set(enumerate_maximal_cliques(fx.graph)), fx.name
 
 
+def mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+# a term is a vertex bitmask, bit v set iff vertex v is in it: here a
+# non-empty subset of vertices 1..8
+terms_lists = st.lists(st.integers(1, 255).map(lambda m: m << 1), max_size=12)
+
+
 class TestAbsorption:
     def test_absorbs_supersets(self):
-        terms = [frozenset({1, 2}), frozenset({1, 2, 3}), frozenset({4})]
-        assert absorb_terms(terms) == (frozenset({4}), frozenset({1, 2}))
+        terms = [mask({1, 2}), mask({1, 2, 3}), mask({4})]
+        assert _absorb_masks(terms) == [mask({4}), mask({1, 2})]
 
-    @given(st.lists(st.frozensets(st.integers(1, 8), min_size=1, max_size=5),
-                    max_size=12))
+    @given(terms_lists)
     def test_idempotent(self, terms):
-        reduced = absorb_terms(terms)
-        assert absorb_terms(reduced) == reduced
+        reduced = _absorb_masks(terms)
+        assert _absorb_masks(reduced) == reduced
 
-    @given(st.lists(st.frozensets(st.integers(1, 8), min_size=1, max_size=5),
-                    max_size=12))
+    @given(terms_lists)
     def test_no_term_contains_another(self, terms):
-        reduced = absorb_terms(terms)
+        reduced = _absorb_masks(terms)
         for a in reduced:
             for b in reduced:
-                assert a == b or not a <= b
+                assert a == b or a & b != a
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 from tricliq import (
     EmptyTraceError,
     Graph,
+    GraphError,
     MODE_EARLY_STOP,
     MODE_EXHAUSTIVE,
     complete,
     edge_weight_vector,
     enumerate_triangles,
     full_trace,
-    main_iteration,
     moon_moser,
 )
 
@@ -46,7 +46,7 @@ class TestG1Trace:
     def test_main_iteration_is_third(self, g1):
         trace = full_trace(g1.graph)
         assert trace.main_index == 2
-        rec = main_iteration(trace)
+        rec = trace.main_iteration()
         assert len(rec.surviving) == 20
         assert list(rec.surviving) == g1.expected["c2"]
         assert rec.min_weight == 3
@@ -195,6 +195,22 @@ def test_trace_json_schema(g1):
     assert [sorted(o) for o in objs] == [
         ["i", "max", "min", "min_edges", "removed_ids", "weights"]] * 3
     assert objs[0]["i"] == 0 and objs[0]["min"] == 2 and objs[0]["max"] == 5
+
+
+def test_trace_of_a_triangle_subset_reports_their_ids():
+    # K_5's triangles inside {2,3,4,5} form a K_4: one iteration at weight 2
+    # removes all four, named by their ids in K_5 (7..10)
+    g = complete(5)
+    inside = tuple(t for t in enumerate_triangles(g) if 1 not in t.vertices)
+    trace = full_trace(g, triangles=inside)
+    assert trace.min_max_sequence() == [(2, 2)]
+    record = trace.records[0]
+    assert record.surviving == record.removed == (7, 8, 9, 10)
+    assert record.weights.to_list() == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2]
+    assert trace.to_json_obj()[0]["weights"] == record.weights.to_list()
+    assert trace.triangle_by_id(10) == inside[-1]
+    with pytest.raises(GraphError):
+        trace.triangle_by_id(1)
 
 
 @settings(max_examples=60, deadline=None)
