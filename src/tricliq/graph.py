@@ -3,6 +3,11 @@
 Edge ``j`` is the j-th pair given at construction time.  All algorithms in
 this package report vertices and edges by these labels, so graphs built from
 published tables keep the table's numbering.
+
+A graph holds one adjacency form, a frozenset of neighbours per vertex, plus
+the dict from endpoint pair to edge id, so its memory grows with n + m.
+Layers that work on bitsets (the exact oracles) build their own over the
+vertices they search.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class Graph:
     edge ``j`` as an ordered pair ``(u, v)`` with ``u < v``.
     """
 
-    __slots__ = ("n", "m", "edges", "_eid", "_adj", "_adj_mask")
+    __slots__ = ("n", "m", "edges", "_eid", "_adj")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 1:
@@ -73,11 +78,6 @@ class Graph:
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_eid", eid)
         object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
-        masks = [0] * (n + 1)
-        for v in range(1, n + 1):
-            for u in adj[v]:
-                masks[v] |= 1 << u
-        object.__setattr__(self, "_adj_mask", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -123,11 +123,6 @@ class Graph:
     def endpoints(self, e: int) -> tuple[int, int]:
         self._check_edge(e)
         return self.edges[e - 1]
-
-    def adjacency_mask(self, v: int) -> int:
-        """Neighbor set of ``v`` as an int bitmask (bit ``u`` set iff u~v)."""
-        self._check_vertex(v)
-        return self._adj_mask[v]
 
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
@@ -240,9 +235,4 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
         raise EmptyVertexSetError("clique test needs at least one vertex")
     for v in vs:
         g._check_vertex(v)
-    for i, u in enumerate(vs):
-        mask = g.adjacency_mask(u)
-        for v in vs[i + 1:]:
-            if not mask >> v & 1:
-                return False
-    return True
+    return all(g._adj[u].issuperset(vs[i + 1:]) for i, u in enumerate(vs))

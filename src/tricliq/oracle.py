@@ -1,18 +1,20 @@
 """Two independent exact clique methods used to check the heuristic.
 
 ``max_clique_exact`` and ``enumerate_maximal_cliques`` are a bitset
-branch-and-bound and a pivoting Bron-Kerbosch enumeration.  ``maghout_cliques``
-takes the entirely different Boolean route: expand the product of
-(u or v) clauses over the complement's edges, reduce to minimal terms by
-absorption, and read each maximal clique off as the complement of a minimal
-cover.  Agreement between the routes is part of the test contract, so none
-of them may be reimplemented in terms of another.
+branch-and-bound and a pivoting Bron-Kerbosch enumeration.  Each call builds
+its own neighbour bitsets, one int per vertex: the branch-and-bound over
+positions in its (-degree, label) vertex order, Bron-Kerbosch over vertex
+labels.  ``maghout_cliques`` takes the entirely different Boolean route:
+expand the product of (u or v) clauses over the complement's edges, reduce
+to minimal terms by absorption, and read each maximal clique off as the
+complement of a minimal cover.  Agreement between the routes is part of
+the test contract, so none of them may be reimplemented in terms of another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graph import Graph
 
@@ -40,26 +42,47 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _neighbour_masks(g: Graph, position: Sequence[int]) -> list[int]:
+    """Neighbour bitsets over vertex positions: entry ``position[v]`` has bit
+    ``position[u]`` set for each neighbour u of v."""
+    masks = [0] * (g.n + 1)
+    for v in g.vertices():
+        masks[position[v]] = sum(1 << position[u] for u in g._adj[v])
+    return masks
+
+
 def max_clique_exact(g: Graph, budget: int = 10_000_000) -> OracleResult:
-    """A maximum clique by branch and bound over degree-ordered candidates."""
+    """A maximum clique by branch and bound over degree-ordered candidates.
+
+    Vertices are relabelled to their positions in (-degree, label) order and
+    each candidate set is one int over those positions.  Candidates are
+    tried lowest bit first, and a branch is cut once the current clique plus
+    every remaining candidate cannot beat the best clique found.
+    """
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    position = [0] * (g.n + 1)
+    for i, v in enumerate(order):
+        position[v] = i
+    nbrs = _neighbour_masks(g, position)
     best: list[int] = []
     visited = 0
 
-    def expand(current: list[int], candidates: list[int]) -> None:
+    def expand(current: list[int], candidates: int) -> None:
         nonlocal best, visited
         visited += 1
         if visited > budget:
             raise BudgetExceededError("max-clique search", budget)
         if len(current) > len(best):
             best = list(current)
-        for i, v in enumerate(candidates):
-            if len(current) + len(candidates) - i <= len(best):
+        while candidates:
+            if len(current) + candidates.bit_count() <= len(best):
                 return
-            mask = g.adjacency_mask(v)
-            expand(current + [v], [u for u in candidates[i + 1:] if mask >> u & 1])
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            expand(current + [order[i]], candidates & nbrs[i])
 
-    expand([], order)
+    expand([], (1 << g.n) - 1)
     return OracleResult(frozenset(best), len(best), visited, "branch-and-bound")
 
 
@@ -69,9 +92,7 @@ def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[froze
     Output is sorted by vertex tuple, so it is a canonical value independent
     of pivot choices.
     """
-    adj = [0] * (g.n + 1)
-    for v in g.vertices():
-        adj[v] = g.adjacency_mask(v)
+    adj = _neighbour_masks(g, range(g.n + 1))
     found: list[frozenset[int]] = []
     visited = 0
 
@@ -101,25 +122,16 @@ def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[froze
     return tuple(sorted(found, key=sorted))
 
 
-def _absorb_masks(masks: list[int]) -> list[int]:
-    """Minimal terms under absorption, each term a vertex bitmask: drop any
-    superset of another term; the rest come smallest first."""
-    unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for m in unique:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
-
-
 def maghout_cliques(g: Graph, clause_budget: int = 30) -> tuple[frozenset[int], ...]:
     """Maximal cliques via Boolean expansion over the complement's edges.
 
     Each non-edge (u,v) of ``g`` contributes a clause (u or v); the product
     of all clauses, multiplied out with absorption after every step, leaves
-    exactly the minimal vertex covers of the complement.  The complement of
-    such a cover is a maximal clique.  The expansion is exponential, hence
-    the explicit clause budget.
+    exactly the minimal vertex covers of the complement.  The terms before a
+    step are an antichain, so absorption only has to check each new term
+    against the terms the step keeps unchanged.  The complement of such a
+    cover is a maximal clique.  The expansion is exponential, hence the
+    explicit clause budget.
     """
     if g.n * (g.n - 1) // 2 - g.m > clause_budget:
         raise BudgetExceededError("Maghout expansion clauses", clause_budget)
@@ -132,14 +144,19 @@ def maghout_cliques(g: Graph, clause_budget: int = 30) -> tuple[frozenset[int], 
     terms = [0]
     for u, v in clauses:
         bu, bv = 1 << u, 1 << v
-        expanded = []
+        # terms is an antichain of minimal terms.  A term meeting {u, v}
+        # stays minimal; a split term t|u can only be absorbed by a kept term
+        # k that holds u, i.e. when k without u lies inside t (likewise v).
+        kept = [t for t in terms if t & (bu | bv)]
+        rest_u = [k ^ bu for k in kept if k & bu]
+        rest_v = [k ^ bv for k in kept if k & bv]
         for t in terms:
-            if t & (bu | bv):
-                expanded.append(t)
-            else:
-                expanded.append(t | bu)
-                expanded.append(t | bv)
-        terms = _absorb_masks(expanded)
+            if not t & (bu | bv):
+                if not any(r & t == r for r in rest_u):
+                    kept.append(t | bu)
+                if not any(r & t == r for r in rest_v):
+                    kept.append(t | bv)
+        terms = kept
     full = ((1 << (g.n + 1)) - 1) & ~1
     cliques = [frozenset(_bits(full & ~t)) for t in terms]
     return tuple(sorted(cliques, key=sorted))

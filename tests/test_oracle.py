@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,8 @@ from tricliq import (
     moon_moser,
 )
 
-from tricliq.oracle import _absorb_masks
-
 from conftest import gnp
+from oracle_reference import absorb_masks, reference_maghout, reference_max_clique
 
 
 class TestEnumeration:
@@ -72,6 +72,31 @@ class TestMaxClique:
         assert max_clique_exact(g3.graph).nodes_visited > 0
 
 
+@st.composite
+def graphs(draw, max_n):
+    """Any simple graph on 1..max_n vertices, each pair an edge or not."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pq for pq, keep in zip(pairs, present) if keep])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(16))
+def test_bitset_search_matches_list_reference(g):
+    # same search tree: same clique, same size, same node count, and the
+    # budget trips at exactly the same node
+    ref = reference_max_clique(g)
+    got = max_clique_exact(g)
+    assert (got.vertices, got.omega, got.nodes_visited) == \
+        (ref.vertices, ref.omega, ref.nodes_visited)
+    assert max_clique_exact(g, budget=ref.nodes_visited) == got
+    with pytest.raises(BudgetExceededError):
+        reference_max_clique(g, budget=ref.nodes_visited - 1)
+    with pytest.raises(BudgetExceededError):
+        max_clique_exact(g, budget=ref.nodes_visited - 1)
+
+
 class TestMaghout:
     def test_moon_moser_3_expansion(self):
         g = moon_moser(3)
@@ -117,6 +142,23 @@ class TestMaghout:
             assert set(mag) == set(enumerate_maximal_cliques(fx.graph)), fx.name
 
 
+@st.composite
+def few_non_edges(draw, max_n, max_non_edges):
+    """A graph on 1..max_n vertices missing at most max_non_edges pairs."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    missing = set()
+    if pairs:
+        missing = draw(st.sets(st.sampled_from(pairs), max_size=max_non_edges))
+    return Graph(n, [pq for pq in pairs if pq not in missing])
+
+
+@settings(max_examples=200, deadline=None)
+@given(few_non_edges(12, 14))
+def test_antichain_absorption_matches_full_absorption(g):
+    assert maghout_cliques(g) == reference_maghout(g)
+
+
 def mask(vertices) -> int:
     return sum(1 << v for v in vertices)
 
@@ -129,16 +171,16 @@ terms_lists = st.lists(st.integers(1, 255).map(lambda m: m << 1), max_size=12)
 class TestAbsorption:
     def test_absorbs_supersets(self):
         terms = [mask({1, 2}), mask({1, 2, 3}), mask({4})]
-        assert _absorb_masks(terms) == [mask({4}), mask({1, 2})]
+        assert absorb_masks(terms) == [mask({4}), mask({1, 2})]
 
     @given(terms_lists)
     def test_idempotent(self, terms):
-        reduced = _absorb_masks(terms)
-        assert _absorb_masks(reduced) == reduced
+        reduced = absorb_masks(terms)
+        assert absorb_masks(reduced) == reduced
 
     @given(terms_lists)
     def test_no_term_contains_another(self, terms):
-        reduced = _absorb_masks(terms)
+        reduced = absorb_masks(terms)
         for a in reduced:
             for b in reduced:
                 assert a == b or a & b != a

@@ -1,9 +1,12 @@
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tricliq import (
+    Graph,
     GraphError,
     WeightVector,
     complete,
@@ -47,6 +50,18 @@ class TestEnumeration:
     def test_count_bound(self, g4):
         g = g4.graph
         assert len(enumerate_triangles(g)) <= g.n * (g.n - 1) * (g.n - 2) // 6
+
+    def test_listing_a_large_cycle_costs_little_memory(self):
+        # C_20000 has no triangle; building it and looking for them must
+        # cost memory linear in n + m, not a bitset of n bits per vertex
+        tracemalloc.start()
+        try:
+            g = Graph(20000, [(v, v % 20000 + 1) for v in range(1, 20001)])
+            assert enumerate_triangles(g) == ()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 << 20
 
     def test_structure(self, g3):
         g = g3.graph
@@ -122,6 +137,30 @@ class TestMinMax:
     def test_all_zero_flag(self):
         assert min_max([0, 0]) == (0, 0, True)
         assert min_max(WeightVector((0, 0, 0), "edge")).all_zero
+
+
+def brute_force_triangles(g):
+    """Every vertex triple tested pair by pair, ascending, with its edge ids."""
+    return [
+        ((u, v, w), tuple(sorted((g.edge_id(u, v), g.edge_id(u, w), g.edge_id(v, w)))))
+        for u, v, w in combinations(g.vertices(), 3)
+        if g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10**6))
+def test_listing_matches_brute_force_on_shuffled_edges(n, p, seed):
+    # shuffled edges with random endpoint order, so edge ids and dict order
+    # are not in lexicographic pair order
+    rng = random.Random(seed)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in gnp(n, p, seed).edges]
+    rng.shuffle(pairs)
+    g = Graph(n, pairs)
+    tris = enumerate_triangles(g)
+    assert [t.id for t in tris] == list(range(1, len(tris) + 1))
+    assert [(t.vertices, t.edges) for t in tris] == brute_force_triangles(g)
 
 
 @given(st.integers(3, 14), st.sampled_from([0.2, 0.4, 0.6, 0.8]),
