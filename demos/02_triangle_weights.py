@@ -20,22 +20,23 @@ print(f"g1: n={g.n} m={g.m}, {len(tris)} triangles")
 print("first three:", *[f"c{t.id}={t.vertices}/e{t.edges}" for t in tris[:3]])
 
 w = edge_weight_vector(g, tris)
-lo, hi, _ = min_max(w)
-print(f"\nper-edge weights: {w.to_list()}")
+lo, hi = min_max(w)
+print(f"\nper-edge weights: {list(w)}")
 print(f"MIN={lo} (zeros excluded) MAX={hi}")
-print(f"lightest edges: {[g.endpoints(e) for e in w.labels_with_weight(lo)]}")
+lightest = [e for e, c in enumerate(w, start=1) if c == lo]
+print(f"lightest edges: {[g.endpoints(e) for e in lightest]}")
 
 # the lightest edges (1,6) and (3,9) straddle the two embedded 5-cliques
 # {1..5} and {6..10}; edges inside a 5-clique weigh at least 3
 wv = vertex_weight_vector(g, tris)
-print(f"\nper-vertex weights: {wv.to_list()}")
+print(f"\nper-vertex weights: {list(wv)}")
 print("sum(edge weights) == 3 * triangles:", sum(w) == 3 * len(tris))
 
 t13 = load_fixture("turan13").graph
 w13 = edge_weight_vector(t13, enumerate_triangles(t13))
-print(f"\n13-vertex 3/3/3/4 multipartite: MIN={min_max(w13).min} "
-      f"MAX={min_max(w13).max}")
+lo13, hi13 = min_max(w13)
+print(f"\n13-vertex 3/3/3/4 multipartite: MIN={lo13} MAX={hi13}")
 print("edges between two 3-parts weigh 7, edges touching the 4-part weigh 6:")
 for e in (1, 7):
     u, v = t13.endpoints(e)
-    print(f"  edge {e}=({u},{v}): weight {w13.weight(e)}")
+    print(f"  edge {e}=({u},{v}): weight {w13[e - 1]}")

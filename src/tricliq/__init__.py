@@ -54,9 +54,7 @@ from .pruning import (
     full_trace,
 )
 from .triangles import (
-    MinMax,
     Triangle,
-    WeightVector,
     edge_weight_vector,
     enumerate_triangles,
     min_max,
@@ -80,7 +78,6 @@ __all__ = [
     "IterationRecord",
     "MODE_EARLY_STOP",
     "MODE_EXHAUSTIVE",
-    "MinMax",
     "NonseparabilityReport",
     "NoTrianglesThroughEdgeError",
     "OracleResult",
@@ -89,7 +86,6 @@ __all__ = [
     "Trace",
     "Triangle",
     "VertexRangeError",
-    "WeightVector",
     "check_nonseparable",
     "cliques_per_min_edge",
     "complete",

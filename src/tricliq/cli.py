@@ -45,13 +45,20 @@ def _warn_if_separable(g: Graph) -> None:
         )
 
 
+def _int_param(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise GraphError(f"expected an integer parameter, got {text!r}") from None
+
+
 def cmd_generate(args) -> int:
     if args.family == "complete":
-        g = complete(int(args.params))
+        g = complete(_int_param(args.params))
     elif args.family == "moon-moser":
-        g = moon_moser(int(args.params))
+        g = moon_moser(_int_param(args.params))
     else:
-        parts = [int(p) for p in args.params.split(",") if p.strip()]
+        parts = [_int_param(p) for p in args.params.split(",") if p.strip()]
         g = complete_multipartite(parts)
     text = format_dimacs(g) if args.format == "dimacs" else format_edge_list(g)
     _emit(text, args.out)
@@ -66,8 +73,8 @@ def cmd_triangles(args) -> int:
             "count": len(tris),
             "triangles": [{"id": t.id, "vertices": list(t.vertices),
                            "edges": list(t.edges)} for t in tris],
-            "edge_weights": edge_weight_vector(g, tris).to_list(),
-            "vertex_weights": vertex_weight_vector(g, tris).to_list(),
+            "edge_weights": list(edge_weight_vector(g, tris)),
+            "vertex_weights": list(vertex_weight_vector(g, tris)),
         }))
         return 0
     print(f"{len(tris)} triangles")

@@ -70,16 +70,14 @@ def subgraph_for_edge(
     g: Graph,
     triangle_ids: Sequence[int],
     edge: int,
-    triangles: Sequence[Triangle] | None = None,
+    triangles: Sequence[Triangle],
 ) -> frozenset[int]:
     """H: the union of the vertex triples of the listed triangles through ``edge``.
 
-    ``triangles``, when given, must be ``enumerate_triangles(g)``, so that
-    triangle ``c`` sits at position ``c - 1``.
+    ``triangles`` must be ``enumerate_triangles(g)``, so that triangle ``c``
+    sits at position ``c - 1``.
     """
     g._check_edge(edge)
-    if triangles is None:
-        triangles = enumerate_triangles(g)
     h: set[int] = set()
     for c in triangle_ids:
         t = triangles[c - 1]
@@ -178,9 +176,6 @@ class PerEdgeCliques:
 
     by_edge: dict[int, CliqueResult]
     distinct: tuple[frozenset[int], ...]
-
-    def sizes(self) -> dict[int, int]:
-        return {e: r.size for e, r in self.by_edge.items()}
 
 
 def cliques_per_min_edge(g: Graph, mode: str = MODE_EXHAUSTIVE) -> PerEdgeCliques:

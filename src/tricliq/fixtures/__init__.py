@@ -31,10 +31,6 @@ class Fixture:
     graph: Graph
     expected: dict
 
-    @property
-    def triangle_count(self) -> int:
-        return self.expected["triangle_count"]
-
 
 def _read(name: str, suffix: str) -> str:
     ref = resources.files(__name__).joinpath(f"{name}{suffix}")

@@ -160,16 +160,12 @@ class NonseparabilityReport:
     min_degree: int
 
     @property
-    def min_degree_ok(self) -> bool:
-        return self.min_degree >= 3
-
-    @property
     def is_nonseparable(self) -> bool:
         return (
             self.connected
             and not self.has_bridge
             and not self.has_articulation_point
-            and self.min_degree_ok
+            and self.min_degree >= 3
         )
 
 

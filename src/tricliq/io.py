@@ -129,12 +129,19 @@ def loads(text: str) -> Graph:
     raise FormatError("empty input", 1)
 
 
+def _utf8(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as the parsers' splitlines() does; "x" is the bad byte
+        before = data[:exc.start].decode("utf-8")
+        line = len((before + "x").splitlines())
+        raise FormatError(
+            f"byte 0x{data[exc.start]:02x} is not UTF-8 text", line) from None
+
+
 def load_graph(path: str | os.PathLike) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
-
-
-def dump_graph(path: str | os.PathLike, g: Graph, fmt: str = "edges") -> None:
-    text = format_dimacs(g) if fmt == "dimacs" else format_edge_list(g)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Read a UTF-8 graph file in either format; undecodable bytes are a
+    ``FormatError`` at the line that holds the first of them."""
+    with open(path, "rb") as fh:
+        return loads(_utf8(fh.read()))

@@ -30,7 +30,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .graph import Graph, GraphError
-from .triangles import Triangle, WeightVector, edge_weight_vector, enumerate_triangles
+from .triangles import Triangle, edge_weight_vector, enumerate_triangles
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_EARLY_STOP = "early-stop"
@@ -61,7 +61,7 @@ class _Removals:
     def surviving(self, index: int) -> tuple[int, ...]:
         return tuple(t.id for t in self._alive(index))
 
-    def weights(self, index: int) -> WeightVector:
+    def weights(self, index: int) -> tuple[int, ...]:
         return edge_weight_vector(self.graph, self._alive(index))
 
 
@@ -87,7 +87,7 @@ class IterationRecord:
         return self._removals.surviving(self.index)
 
     @property
-    def weights(self) -> WeightVector:
+    def weights(self) -> tuple[int, ...]:
         return self._removals.weights(self.index)
 
 
@@ -136,7 +136,7 @@ class Trace:
         decremented by each record's removals."""
         if not self.records:
             return []
-        counts = self.records[0].weights.to_list()
+        counts = list(self.records[0].weights)
         edges_of = {t.id: t.edges for t in self.triangles}
         out = []
         for r in self.records:

@@ -1,33 +1,27 @@
 """Triangle (3-cycle) enumeration and triangle-count weight vectors.
 
 A triangle is stored both ways the reference tables write it: as the three
-edge ids and as the three vertex ids.  Triangles are listed by intersecting
-the neighbour sets of each edge's endpoints, then sorted: enumeration order
-is ascending lexicographic on the sorted vertex triple, whatever the edge
-order, which makes triangle ids stable and reproducible.
+edge ids and as the three vertex ids, in a named tuple with its 1-based id.
+A weight vector is a plain tuple of counts, one per edge or per vertex:
+``counts[i]`` is the weight of label ``i + 1``.  Triangles are listed by
+intersecting the neighbour sets of each edge's endpoints, then sorted:
+enumeration order is ascending lexicographic on the sorted vertex triple,
+whatever the edge order, which makes triangle ids stable and reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """One 3-cycle: ``id`` is its 1-based position in enumeration order."""
 
     id: int
     vertices: tuple[int, int, int]
     edges: tuple[int, int, int]
-
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(self.edges)
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
 
 
 def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
@@ -52,52 +46,16 @@ def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
     )
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-edge or per-vertex triangle counts, indexed by 1-based label.
-
-    ``counts[i]`` is the weight of label ``i + 1``; iteration yields the
-    counts in label order so a vector compares directly against a printed
-    tuple.
-    """
-
-    counts: tuple[int, ...]
-    kind: str  # "edge" | "vertex"
-
-    def weight(self, label: int) -> int:
-        if not 1 <= label <= len(self.counts):
-            raise GraphError(f"label {label} outside 1..{len(self.counts)}")
-        return self.counts[label - 1]
-
-    def labels_with_weight(self, value: int) -> tuple[int, ...]:
-        return tuple(i + 1 for i, c in enumerate(self.counts) if c == value)
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def to_list(self) -> list[int]:
-        return list(self.counts)
-
-
-class MinMax(NamedTuple):
-    min: int  # smallest strictly positive count; 0 when all counts are zero
-    max: int
-    all_zero: bool
-
-
-def min_max(w: WeightVector | Sequence[int]) -> MinMax:
-    """(MIN, MAX) of a weight vector, with MIN taken over nonzero entries."""
-    counts = list(w)
+def min_max(counts: Sequence[int]) -> tuple[int, int]:
+    """(MIN, MAX) of a weight vector, with MIN taken over nonzero entries;
+    (0, 0) when every count is zero."""
     positive = [c for c in counts if c > 0]
     if not positive:
-        return MinMax(0, 0, True)
-    return MinMax(min(positive), max(positive), False)
+        return 0, 0
+    return min(positive), max(positive)
 
 
-def edge_weight_vector(g: Graph, triangles: Iterable[Triangle]) -> WeightVector:
+def edge_weight_vector(g: Graph, triangles: Iterable[Triangle]) -> tuple[int, ...]:
     """counts[j-1] = number of given triangles that contain edge j."""
     counts = [0] * g.m
     for t in triangles:
@@ -105,10 +63,10 @@ def edge_weight_vector(g: Graph, triangles: Iterable[Triangle]) -> WeightVector:
             if not 1 <= e <= g.m:
                 raise GraphError(f"triangle {t.id} references edge {e} outside 1..{g.m}")
             counts[e - 1] += 1
-    return WeightVector(tuple(counts), "edge")
+    return tuple(counts)
 
 
-def vertex_weight_vector(g: Graph, triangles: Iterable[Triangle]) -> WeightVector:
+def vertex_weight_vector(g: Graph, triangles: Iterable[Triangle]) -> tuple[int, ...]:
     """counts[v-1] = number of given triangles that contain vertex v."""
     counts = [0] * g.n
     for t in triangles:
@@ -116,4 +74,4 @@ def vertex_weight_vector(g: Graph, triangles: Iterable[Triangle]) -> WeightVecto
             if not 1 <= v <= g.n:
                 raise GraphError(f"triangle {t.id} references vertex {v} outside 1..{g.n}")
             counts[v - 1] += 1
-    return WeightVector(tuple(counts), "vertex")
+    return tuple(counts)

@@ -55,6 +55,25 @@ def test_generate_bad_params(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("family, params", [
+    ("complete", "abc"), ("moon-moser", "4.5"), ("multipartite", "3,x")])
+def test_generate_non_integer_params(capsys, family, params):
+    code, out, err = run(capsys, "generate", family, params)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and repr(params.split(",")[-1]) in err
+
+
+@pytest.mark.parametrize("command", ["clique", "oracle", "triangles"])
+def test_undecodable_input_names_its_line(capsys, tmp_path, command):
+    p = tmp_path / "latin1.edges"
+    p.write_bytes(b"3 3\n1 2\n# caf\xe9\n1 3\n2 3\n")
+    code, out, err = run(capsys, command, str(p))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 3: ") and "0xe9" in err
+
+
 def test_triangles_json(capsys, g3_path, g3):
     code, out, _ = run(capsys, "triangles", g3_path, "--json")
     assert code == 0

@@ -37,7 +37,7 @@ class TestSubgraphForEdge:
         g = g1.graph
         trace = full_trace(g)
         c2 = trace.main_iteration().surviving
-        h = subgraph_for_edge(g, c2, 4)
+        h = subgraph_for_edge(g, c2, 4, trace.triangles)
         assert sorted(h) == [1, 2, 3, 4, 5]
         assert sum(h.issuperset(trace.triangle_by_id(c).vertices)
                    for c in c2) == 10
@@ -45,7 +45,7 @@ class TestSubgraphForEdge:
 
     def test_g2_edge_1(self, g2):
         tris = enumerate_triangles(g2.graph)
-        h = subgraph_for_edge(g2.graph, [t.id for t in tris], 1)
+        h = subgraph_for_edge(g2.graph, [t.id for t in tris], 1, tris)
         assert sorted(h) == [1, 2, 3, 6, 7]
 
     def test_turan13_edge_1(self, turan13):
@@ -53,7 +53,7 @@ class TestSubgraphForEdge:
         # parts and is not complete
         g = turan13.graph
         tris = enumerate_triangles(g)
-        h = subgraph_for_edge(g, [t.id for t in tris], 1)
+        h = subgraph_for_edge(g, [t.id for t in tris], 1, tris)
         assert sorted(h) == turan13.expected["e1_subgraph"]
         assert not is_clique(g, h)
 
@@ -63,7 +63,7 @@ class TestSubgraphForEdge:
         assert g.endpoints(37) == (10, 12)
         tris = enumerate_triangles(g)
         with pytest.raises(NoTrianglesThroughEdgeError):
-            subgraph_for_edge(g, [t.id for t in tris], 37)
+            subgraph_for_edge(g, [t.id for t in tris], 37, tris)
 
 
 class TestExtraction:

@@ -10,7 +10,7 @@ from tricliq import (
     parse_dimacs,
     parse_edge_list,
 )
-from tricliq.io import dump_graph, loads
+from tricliq.io import loads
 
 
 def test_edge_list_round_trip(g3):
@@ -84,8 +84,8 @@ def test_dimacs_errors():
 def test_file_round_trip(tmp_path):
     g = complete(5)
     p = tmp_path / "k5.edges"
-    dump_graph(p, g)
+    p.write_text(format_edge_list(g), encoding="utf-8")
     assert load_graph(p) == g
     p2 = tmp_path / "k5.col"
-    dump_graph(p2, g, fmt="dimacs")
+    p2.write_text(format_dimacs(g), encoding="utf-8")
     assert load_graph(p2) == g

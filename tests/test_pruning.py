@@ -30,9 +30,9 @@ class TestG1Trace:
 
     def test_iteration_weight_vectors(self, g1):
         trace = full_trace(g1.graph)
-        assert trace.records[0].weights.to_list() == g1.expected["p0"]
-        assert trace.records[1].weights.to_list() == g1.expected["p1"]
-        assert trace.records[2].weights.to_list() == g1.expected["p2"]
+        assert list(trace.records[0].weights) == g1.expected["p0"]
+        assert list(trace.records[1].weights) == g1.expected["p1"]
+        assert list(trace.records[2].weights) == g1.expected["p2"]
 
     def test_min_max_sequence(self, g1):
         trace = full_trace(g1.graph)
@@ -61,7 +61,7 @@ class TestG3Trace:
     def test_published_weight_vectors(self, g3):
         trace = full_trace(g3.graph)
         for i in range(3):
-            assert trace.records[i].weights.to_list() == \
+            assert list(trace.records[i].weights) == \
                 g3.expected["p_by_iteration"][str(i)]
 
     def test_min_edges_and_removals(self, g3):
@@ -83,7 +83,7 @@ class TestG3Trace:
 class TestG2Trace:
     def test_initial_iteration_is_main(self, g2):
         trace = full_trace(g2.graph)
-        assert trace.records[0].weights.to_list() == g2.expected["p0"]
+        assert list(trace.records[0].weights) == g2.expected["p0"]
         assert (trace.records[0].min_weight, trace.records[0].max_weight) == (3, 5)
         assert trace.main_index == 0
         assert list(trace.main_iteration().min_edges) == g2.expected["min_edges"]
@@ -158,7 +158,7 @@ class TestMainIteration:
             assert (rec.min_weight, rec.max_weight) == (1, 1)
             assert rec.min_edges == (1, 2, 3) and rec.removed == (1,)
             assert rec.surviving == (1,)
-            assert rec.weights.to_list() == [1, 1, 1, 0, 0]
+            assert list(rec.weights) == [1, 1, 1, 0, 0]
             assert trace.main_index == 0
 
     def test_triangle_free_graph(self):
@@ -206,8 +206,8 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
     assert trace.min_max_sequence() == [(2, 2)]
     record = trace.records[0]
     assert record.surviving == record.removed == (7, 8, 9, 10)
-    assert record.weights.to_list() == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2]
-    assert trace.to_json_obj()[0]["weights"] == record.weights.to_list()
+    assert list(record.weights) == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2]
+    assert trace.to_json_obj()[0]["weights"] == list(record.weights)
     assert trace.triangle_by_id(10) == inside[-1]
     with pytest.raises(GraphError):
         trace.triangle_by_id(1)

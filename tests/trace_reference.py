@@ -16,7 +16,6 @@ from tricliq import (
     Graph,
     GraphError,
     Triangle,
-    WeightVector,
     enumerate_triangles,
     min_max,
 )
@@ -30,7 +29,7 @@ class EmptyIterationError(GraphError):
 class ReferenceRecord:
     index: int
     surviving: tuple[int, ...]
-    weights: WeightVector
+    weights: tuple[int, ...]
     min_weight: int
     max_weight: int
     min_edges: tuple[int, ...]
@@ -52,8 +51,8 @@ def prune_step(
     for c in ids:
         for e in by_id[c].edges:
             counts[e - 1] += 1
-    weights = WeightVector(tuple(counts), "edge")
-    lo, hi, _ = min_max(weights)
+    weights = tuple(counts)
+    lo, hi = min_max(weights)
     min_edges = tuple(e for e in range(1, g.m + 1) if counts[e - 1] == lo)
     min_set = set(min_edges)
     removed = tuple(c for c in ids if min_set.intersection(by_id[c].edges))
@@ -88,4 +87,4 @@ def assert_matches_reference(trace, reference: list[ReferenceRecord]) -> None:
         for name in FIELDS:
             assert getattr(got, name) == getattr(want, name), (got.index, name)
     assert [o["weights"] for o in trace.to_json_obj()] == \
-        [r.weights.to_list() for r in reference]
+        [list(r.weights) for r in reference]
