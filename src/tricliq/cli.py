@@ -96,10 +96,12 @@ def cmd_trace(args) -> int:
               file=sys.stderr)
         return 0
     print("i  MIN  MAX  surviving  min_edges")
+    alive = len(trace.triangles)
     for r in trace.records:
         edges = ",".join(map(str, r.min_edges))
         print(f"{r.index}  {r.min_weight}  {r.max_weight}  "
-              f"{len(r.surviving)}  {edges}")
+              f"{alive}  {edges}")
+        alive -= len(r.removed)
     print(f"main iteration: {trace.main_index}")
     return 0
 

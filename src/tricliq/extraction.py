@@ -11,16 +11,25 @@ inside H, so each level keeps the previous level's triangles inside H,
 under their original ids and edge ids, traces them, and takes the next seed
 from that trace's main iteration.  H shrinks at every level, and the level
 whose H is complete holds the clique's witness triangles.
+
+A level costs what its seed touches, not the triangle count.  H comes from
+the seed's per-edge list, kept by the trace.  Every level's list is in
+canonical vertex-triple order, so the triangles whose lowest vertex is u
+form one slice, and only the slices of H's vertices are read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .graph import Graph, GraphError, is_clique
-from .pruning import MODE_EXHAUSTIVE, full_trace
+from .pruning import MODE_EXHAUSTIVE, IterationRecord, full_trace
 from .triangles import Triangle, enumerate_triangles
+
+_vertices = attrgetter("vertices")
 
 
 class NoTrianglesThroughEdgeError(GraphError):
@@ -75,7 +84,8 @@ def subgraph_for_edge(
     """H: the union of the vertex triples of the listed triangles through ``edge``.
 
     ``triangles`` must be ``enumerate_triangles(g)``, so that triangle ``c``
-    sits at position ``c - 1``.
+    sits at position ``c - 1``.  This scans every listed id; extraction
+    reads H off the seed's per-edge list instead.
     """
     g._check_edge(edge)
     h: set[int] = set()
@@ -89,26 +99,51 @@ def subgraph_for_edge(
     return frozenset(h)
 
 
+def _seed_subgraph(record: IterationRecord, edge: int) -> frozenset[int]:
+    """H for ``edge``: the vertices of ``record``'s surviving triangles on it,
+    read off the edge's per-edge list in time proportional to its weight."""
+    h: set[int] = set()
+    for t in record.surviving_through(edge):
+        h.update(t.vertices)
+    return frozenset(h)
+
+
+def _inside(level: Sequence[Triangle], h: frozenset[int]) -> tuple[Triangle, ...]:
+    """The triangles of ``level`` whose vertices all lie in ``h``.
+
+    ``level`` is in canonical vertex-triple order, so the triangles whose
+    lowest vertex is ``u`` form one slice, found by two bisections; only the
+    slices of the vertices of ``h`` are read.  The two largest vertices of
+    ``h`` cannot be the lowest vertex of a triangle inside it.
+    """
+    inside: list[Triangle] = []
+    for u in sorted(h)[:-2]:
+        lo = bisect_left(level, (u,), key=_vertices)
+        hi = bisect_left(level, (u + 1,), lo, key=_vertices)
+        inside.extend(t for t in level[lo:hi] if h.issuperset(t.vertices))
+    return tuple(inside)
+
+
 def _grow(
     g: Graph,
     triangles: tuple[Triangle, ...],
-    surviving: Sequence[int],
+    record: IterationRecord,
     edge: int,
     mode: str,
 ) -> CliqueResult:
-    """Grow a clique from ``edge``, a minimum edge of the main iteration over
-    all of ``g``'s ``triangles`` whose surviving ids are ``surviving``.
+    """Grow a clique from ``edge``, a minimum edge of ``record``, the main
+    iteration of the trace of ``triangles``.
 
     Each level's triangles are the previous level's that lie inside H, still
-    under their ids in ``triangles``, so they are exactly the triangles of
+    under their ids in the first level, so they are exactly the triangles of
     the subgraph induced by H.  The final level's list is the witnesses.
     """
     seeds = [edge]
     level = triangles
     n = g.n
     while True:
-        h = subgraph_for_edge(g, surviving, edge, triangles=triangles)
-        level = tuple(t for t in level if h.issuperset(t.vertices))
+        h = _seed_subgraph(record, edge)
+        level = _inside(level, h)
         if is_clique(g, h):
             return CliqueResult(
                 vertices=h,
@@ -127,7 +162,6 @@ def _grow(
                 "non-complete subgraph; invariant violated")
         n = len(h)
         record = full_trace(g, mode=mode, triangles=level).main_iteration()
-        surviving = record.surviving
         # the subgraph induced by H numbers its edges in endpoint-pair
         # order, so its lowest minimum edge has the smallest pair
         edge = min(record.min_edges, key=g.endpoints)
@@ -167,7 +201,7 @@ def extract_max_clique(
         raise GraphError(
             f"seed edge {seed_edge} does not attain the minimum weight "
             f"{record.min_weight} in the main iteration")
-    return _grow(g, triangles, record.surviving, seed_edge, mode)
+    return _grow(g, triangles, record, seed_edge, mode)
 
 
 @dataclass(frozen=True)
@@ -189,8 +223,7 @@ def cliques_per_min_edge(g: Graph, mode: str = MODE_EXHAUSTIVE) -> PerEdgeClique
     if not triangles:
         return PerEdgeCliques(by_edge={}, distinct=())
     record = full_trace(g, mode=mode, triangles=triangles).main_iteration()
-    surviving = record.surviving
-    by_edge = {edge: _grow(g, triangles, surviving, edge, mode)
+    by_edge = {edge: _grow(g, triangles, record, edge, mode)
                for edge in record.min_edges}
     distinct = tuple(
         sorted({r.vertices for r in by_edge.values()}, key=lambda s: sorted(s))

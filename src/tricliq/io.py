@@ -83,6 +83,8 @@ def parse_dimacs(text: str) -> Graph:
             continue
         tok = ln.split()
         if tok[0] == "p":
+            if n is not None:
+                raise FormatError("duplicate problem line", i)
             if len(tok) != 4 or tok[1] not in ("edge", "col"):
                 raise FormatError("expected 'p edge n m'", i)
             try:

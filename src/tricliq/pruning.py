@@ -18,7 +18,9 @@ iteration's minimum edges and removals, where T is the triangle count.
 Records keep only what each iteration decided: MIN, MAX, the minimum edges
 and the removed triangles.  An iteration's surviving ids and weight vector
 follow from the removals before it; they are rebuilt when read, so a caller
-pays for them only when it asks.
+pays for them only when it asks.  The per-edge triangle lists outlive the
+peel: they are kept for extraction, which reads a seed edge's surviving
+triangles off its list in time proportional to the edge's weight, not T.
 """
 
 from __future__ import annotations
@@ -45,15 +47,18 @@ class _Removals:
 
     ``at[k]`` is the index of the iteration that removed ``triangles[k]``;
     the triangles alive at the start of iteration ``i`` are those with
-    ``at >= i``.
+    ``at >= i``.  ``through[e]`` lists the positions of the triangles on
+    edge ``e`` in ascending order.
     """
 
-    __slots__ = ("graph", "triangles", "at")
+    __slots__ = ("graph", "triangles", "at", "through")
 
-    def __init__(self, graph: Graph, triangles: tuple[Triangle, ...], at: list[int]):
+    def __init__(self, graph: Graph, triangles: tuple[Triangle, ...],
+                 at: list[int], through: dict[int, list[int]]):
         self.graph = graph
         self.triangles = triangles
         self.at = at
+        self.through = through
 
     def _alive(self, index: int):
         return (t for t, i in zip(self.triangles, self.at) if i >= index)
@@ -63,6 +68,10 @@ class _Removals:
 
     def weights(self, index: int) -> tuple[int, ...]:
         return edge_weight_vector(self.graph, self._alive(index))
+
+    def surviving_through(self, index: int, edge: int) -> list[Triangle]:
+        at, triangles = self.at, self.triangles
+        return [triangles[k] for k in self.through.get(edge, ()) if at[k] >= index]
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,11 @@ class IterationRecord:
     @property
     def weights(self) -> tuple[int, ...]:
         return self._removals.weights(self.index)
+
+    def surviving_through(self, edge: int) -> list[Triangle]:
+        """The surviving triangles on ``edge``, in ascending id order, read
+        off the edge's list in time proportional to its starting weight."""
+        return self._removals.surviving_through(self.index, edge)
 
 
 @dataclass(frozen=True)
@@ -194,7 +208,7 @@ def full_trace(
     lo, hi = 1, len(buckets) - 1
 
     removed_at = [-1] * len(triangles)
-    removals = _Removals(g, triangles, removed_at)
+    removals = _Removals(g, triangles, removed_at, through)
     alive = len(triangles)
     records: list[IterationRecord] = []
     while alive:

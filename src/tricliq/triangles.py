@@ -4,9 +4,11 @@ A triangle is stored both ways the reference tables write it: as the three
 edge ids and as the three vertex ids, in a named tuple with its 1-based id.
 A weight vector is a plain tuple of counts, one per edge or per vertex:
 ``counts[i]`` is the weight of label ``i + 1``.  Triangles are listed by
-intersecting the neighbour sets of each edge's endpoints, then sorted:
-enumeration order is ascending lexicographic on the sorted vertex triple,
-whatever the edge order, which makes triangle ids stable and reproducible.
+intersecting the neighbour sets of each edge's endpoints, each kept as one
+int key that encodes its vertex triple, and the keys are sorted as plain
+ints: enumeration order is ascending lexicographic on the sorted vertex
+triple, whatever the edge order, which makes triangle ids stable and
+reproducible.
 """
 
 from __future__ import annotations
@@ -30,20 +32,27 @@ def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
     For each edge (u,v) with u < v the common neighbours w > v are read off
     the intersection of the two neighbour sets, so every triangle is produced
     exactly once at its lowest edge, in O(sum over edges of min(deg u, deg v))
-    set work (Chiba & Nishizeki 1985).
+    set work (Chiba & Nishizeki 1985).  Each triple is kept as the one int
+    ``(u·N + v)·N + w`` with ``N = n + 1``, so the canonical order is a plain
+    int sort; the triples and their edge ids are decoded afterwards.
     """
     adj = g._adj
     eid = g._eid
-    found = []
-    for (u, v), uv in eid.items():
-        for w in adj[u] & adj[v]:
-            if w > v:
-                found.append(((u, v, w), (uv, eid[(u, w)], eid[(v, w)])))
-    found.sort()
-    return tuple(
-        Triangle(id=i + 1, vertices=verts, edges=tuple(sorted(eids)))
-        for i, (verts, eids) in enumerate(found)
-    )
+    base = g.n + 1
+    keys = []
+    for u, v in eid:
+        common = adj[u] & adj[v]
+        if common:
+            uv = (u * base + v) * base
+            keys.extend([uv + w for w in common if w > v])
+    keys.sort()
+    out = []
+    for i, key in enumerate(keys, start=1):
+        uv, w = divmod(key, base)
+        u, v = divmod(uv, base)
+        out.append(Triangle(i, (u, v, w),
+                            tuple(sorted((eid[u, v], eid[u, w], eid[v, w])))))
+    return tuple(out)
 
 
 def min_max(counts: Sequence[int]) -> tuple[int, int]:

@@ -1,9 +1,10 @@
-"""The CLI's JSON output on the six bundled fixtures, pinned byte for byte.
+"""The CLI's output on the six bundled fixtures, pinned byte for byte.
 
-Each digest is the sha256 of one command's stdout on one fixture, recorded
-before the triangle layer moved to plain tuples.  ``validate`` times itself,
-so its ``seconds_*`` keys are dropped before hashing.  A mismatch prints the
-output the command gave.
+Each digest is the sha256 of one command's stdout on one fixture.  The JSON
+digests were recorded before the triangle layer moved to plain tuples, and
+the ``trace`` text-table digests before the table stopped rebuilding each
+record's survivors.  ``validate`` times itself, so its ``seconds_*`` keys are
+dropped before hashing.  A mismatch prints the output the command gave.
 """
 
 import hashlib
@@ -77,3 +78,31 @@ def test_json_output_is_unchanged(capsys, tmp_path, name, command):
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == DIGESTS[name, command], \
         f"tricliq {cmd} {name} {' '.join(flags)} printed:\n{out}"
+
+
+TRACE_TEXT_DIGESTS = {
+    ("g1", "exhaustive"): "854c4a0f3f6e68b9e8938601cc29301161a05b849df6eb49f721b9858cb2860c",
+    ("g1", "early-stop"): "854c4a0f3f6e68b9e8938601cc29301161a05b849df6eb49f721b9858cb2860c",
+    ("g2", "exhaustive"): "dac0a02881653ca82a812fc463d820148aa6d784300bfe089e240e470f383764",
+    ("g2", "early-stop"): "ae67823ebb02d89e24b8a986c3a2c52309b355b4900cfd0845e271aea5936ad5",
+    ("g3", "exhaustive"): "c50de17f4b722e6de1b9f1c0a3f1c4c4294b2a074bdb99e3dcd9345c564103da",
+    ("g3", "early-stop"): "c50de17f4b722e6de1b9f1c0a3f1c4c4294b2a074bdb99e3dcd9345c564103da",
+    ("g4", "exhaustive"): "52af2fdc771c46f0793ed421b93e93842998823bd160bb7501fc75db2329d4e3",
+    ("g4", "early-stop"): "173ef07688fefab39ce933386eb4e7fb513ed2fd02f6e046f32e614df8db28cf",
+    ("turan13", "exhaustive"): "491030e4620a6fd4baea074b6c93b105121d526572e81ecc616dd9d8f635599a",
+    ("turan13", "early-stop"): "17e243cfed96277be6828dceb9caa8fbbb37c059b6b7dcf508290e9db7f2f45a",
+    ("moon_moser_12", "exhaustive"): "94b26c8ba27715fd7aa92b73c18edbe8b599490ceb71f6730d0b4480324ec21d",
+    ("moon_moser_12", "early-stop"): "94b26c8ba27715fd7aa92b73c18edbe8b599490ceb71f6730d0b4480324ec21d",
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("mode", ("exhaustive", "early-stop"))
+def test_trace_text_is_unchanged(capsys, tmp_path, name, mode):
+    path = tmp_path / f"{name}.edges"
+    path.write_text(format_edge_list(load_fixture(name).graph))
+    assert main(["trace", str(path), "--mode", mode]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == TRACE_TEXT_DIGESTS[name, mode], \
+        f"tricliq trace {name} --mode {mode} printed:\n{out}"

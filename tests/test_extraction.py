@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tricliq.extraction as extraction
+import tricliq.pruning as pruning
 from tricliq import (
     MODE_EARLY_STOP,
     MODE_EXHAUSTIVE,
@@ -221,13 +222,8 @@ def test_loop_matches_recursive_reference_on_corpus():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(4, 14), st.sampled_from([0.4, 0.6, 0.8]), st.integers(0, 10**6))
 def test_loop_matches_recursive_reference_on_shuffled_edge_ids(n, p, seed):
-    # shuffled edges with random endpoint order, so edge ids are not in
-    # lexicographic pair order and the deeper levels' seed rule matters
-    rng = random.Random(seed)
-    pairs = [(v, u) if rng.random() < 0.5 else (u, v)
-             for u, v in gnp(n, p, seed).edges]
-    rng.shuffle(pairs)
-    assert_matches_reference(Graph(n, pairs))
+    # shuffled edge ids make the deeper levels' seed rule matter
+    assert_matches_reference(shuffled(gnp(n, p, seed), random.Random(seed)))
 
 
 def test_each_call_enumerates_triangles_once(monkeypatch, turan13):
@@ -244,6 +240,67 @@ def test_each_call_enumerates_triangles_once(monkeypatch, turan13):
     results = cliques_per_min_edge(turan13.graph).by_edge.values()
     assert max(r.recursion_depth for r in results) >= 1
     assert len(calls) == 2
+
+
+def shuffled(g: Graph, rng: random.Random) -> Graph:
+    """``g`` with its edges in random order and random endpoint order, so
+    edge ids are not in lexicographic pair order."""
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    rng.shuffle(pairs)
+    return Graph(g.n, pairs)
+
+
+def assert_seed_local_reads_match_scans(g, triangles, level, trace):
+    """For every record of ``trace`` (the trace of ``level``) and each of its
+    minimum edges, H from the per-edge list equals H from a scan of the
+    record's survivors, and the slices inside H equal a scan of ``level``."""
+    for record in trace.records:
+        for edge in record.min_edges:
+            h = extraction._seed_subgraph(record, edge)
+            assert h == subgraph_for_edge(g, record.surviving, edge, triangles)
+            assert extraction._inside(level, h) == \
+                tuple(t for t in level if h.issuperset(t.vertices))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 14), st.sampled_from([0.3, 0.6, 0.8]),
+       st.integers(0, 10**6), st.booleans())
+def test_seed_local_reads_match_whole_store_scans(n, p, seed, shuffle):
+    g = gnp(n, p, seed)
+    if shuffle:
+        g = shuffled(g, random.Random(seed))
+    triangles = enumerate_triangles(g)
+    trace = full_trace(g, triangles=triangles)
+    assert_seed_local_reads_match_scans(g, triangles, triangles, trace)
+    # a deeper level: positions in its trace differ from triangle ids
+    for record in trace.records:
+        level = extraction._inside(
+            triangles, extraction._seed_subgraph(record, record.min_edges[0]))
+        sub = full_trace(g, triangles=level)
+        assert_seed_local_reads_match_scans(g, triangles, level, sub)
+
+
+def test_extraction_reads_no_whole_store(monkeypatch, turan13):
+    # a read of IterationRecord.surviving, or a subgraph_for_edge call,
+    # scans every triangle of the trace: a seed must touch only its own
+    reads = []
+    surviving = pruning._Removals.surviving
+
+    def counted(self, index):
+        reads.append(index)
+        return surviving(self, index)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("subgraph_for_edge scans every survivor")
+
+    monkeypatch.setattr(pruning._Removals, "surviving", counted)
+    monkeypatch.setattr(extraction, "subgraph_for_edge", forbidden)
+    for g in (turan13.graph, gnp(100, 0.3, 1)):
+        assert cliques_per_min_edge(g).by_edge
+        assert extract_max_clique(g).is_verified_clique
+    assert reads == []
+    assert full_trace(turan13.graph).records[0].surviving
+    assert reads == [0]
 
 
 def test_subgraph_that_does_not_shrink_raises(monkeypatch):

@@ -79,6 +79,11 @@ def test_dimacs_errors():
         parse_dimacs("p edge 3 1\n")  # declared edge missing
     with pytest.raises(FormatError):
         parse_dimacs("p edge 3 1\nq 1 2\n")
+    for text in ("p edge 5 1\ne 1 2\np edge 5 1\n",
+                 "p edge 5 1\ne 4 5\np edge 3 1\n"):
+        with pytest.raises(FormatError, match="duplicate problem line") as exc:
+            parse_dimacs(text)
+        assert exc.value.line == 3
 
 
 def test_file_round_trip(tmp_path):

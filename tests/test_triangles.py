@@ -138,11 +138,12 @@ class TestMinMax:
         assert min_max([0, 0]) == (0, 0)
 
 
-def brute_force_triangles(g):
-    """Every vertex triple tested pair by pair, ascending, with its edge ids."""
+def brute_force_triangles(g, vertices=None):
+    """Every triple of ``vertices`` (default: all of ``g``'s) tested pair by
+    pair, ascending, with its edge ids."""
     return [
         ((u, v, w), tuple(sorted((g.edge_id(u, v), g.edge_id(u, w), g.edge_id(v, w)))))
-        for u, v, w in combinations(g.vertices(), 3)
+        for u, v, w in combinations(vertices or g.vertices(), 3)
         if g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
     ]
 
@@ -160,6 +161,22 @@ def test_listing_matches_brute_force_on_shuffled_edges(n, p, seed):
     tris = enumerate_triangles(g)
     assert [t.id for t in tris] == list(range(1, len(tris) + 1))
     assert [(t.vertices, t.edges) for t in tris] == brute_force_triangles(g)
+
+
+def test_listing_keys_decode_at_the_label_bounds():
+    # the lowest and highest triples of a large vertex range give the
+    # smallest and largest keys (u·N + v)·N + w; edges come in reverse file
+    # order, so edge ids run against the pair order
+    n = 100000
+    pairs = [(1, 2), (1, 3), (2, 3), (n - 2, n - 1), (n - 2, n), (n - 1, n)]
+    g = Graph(n, pairs[::-1])
+    tris = enumerate_triangles(g)
+    assert [t.id for t in tris] == [1, 2]
+    # isolated vertices lie on no triangle, so the brute force may skip them
+    touched = sorted({v for pair in pairs for v in pair})
+    assert [(t.vertices, t.edges) for t in tris] == brute_force_triangles(g, touched)
+    assert [t.vertices for t in tris] == [(1, 2, 3), (n - 2, n - 1, n)]
+    assert [t.edges for t in tris] == [(4, 5, 6), (1, 2, 3)]
 
 
 @given(st.integers(3, 14), st.sampled_from([0.2, 0.4, 0.6, 0.8]),
