@@ -8,16 +8,28 @@ A graph holds one adjacency form, a frozenset of neighbours per vertex, plus
 the dict from endpoint pair to edge id, so its memory grows with n + m.
 Layers that work on bitsets (the exact oracles) build their own over the
 vertices they search.
+
+The constructor checks and indexes all pairs with whole-list operations; only
+when a check fails does it walk the pairs in order to name the first bad one.
+``check_nonseparable`` is the linear-time lowpoint DFS of Hopcroft and Tarjan
+("Efficient algorithms for graph manipulation", CACM 1973).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 
 class GraphError(ValueError):
-    """Base class for invalid graph data or arguments."""
+    """Base class for invalid graph data or arguments.
+
+    ``position`` is the 0-based index of the rejected pair when ``Graph``
+    rejects one of the pairs it was given, and ``None`` otherwise.
+    """
+
+    position: int | None = None
 
 
 class VertexRangeError(GraphError):
@@ -44,6 +56,26 @@ def ring_sum(sets: Iterable[Iterable[int]]) -> frozenset[int]:
     return acc
 
 
+def _raise_first_rejected(n: int, pairs: list[tuple[int, int]]) -> None:
+    """Raise the error for the first pair ``Graph(n, pairs)`` rejects: an
+    endpoint outside 1..n, a self-loop, or a pair seen before."""
+    seen = set()
+    for i, (u, v) in enumerate(pairs):
+        if not (1 <= u <= n and 1 <= v <= n):
+            exc: GraphError = VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
+        elif u == v:
+            exc = SelfLoopError(f"self-loop at vertex {u}")
+        else:
+            if u > v:
+                u, v = v, u
+            if (u, v) not in seen:
+                seen.add((u, v))
+                continue
+            exc = DuplicateEdgeError(f"duplicate edge ({u},{v})")
+        exc.position = i
+        raise exc
+
+
 class Graph:
     """Undirected simple graph on vertices ``1..n``.
 
@@ -56,28 +88,25 @@ class Graph:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 1:
             raise VertexRangeError(f"vertex count must be positive, got {n}")
-        edges: list[tuple[int, int]] = []
-        eid: dict[tuple[int, int], int] = {}
-        adj: list[set[int]] = [set() for _ in range(n + 1)]
+        pairs = list(pairs)
+        m = len(pairs)
+        lows = list(map(min, pairs))
+        highs = list(map(max, pairs))
+        edges = tuple(zip(lows, highs))
+        eid = dict(zip(edges, range(1, m + 1)))
+        if m and (min(lows) < 1 or max(highs) > n
+                  or any(map(operator.eq, lows, highs))) or len(eid) < m:
+            _raise_first_rejected(n, pairs)
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
         for u, v in pairs:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in eid:
-                raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
-            edges.append((u, v))
-            eid[(u, v)] = len(edges)
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
 
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", len(edges))
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_eid", eid)
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
+        object.__setattr__(self, "_adj", tuple(map(frozenset, adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -175,10 +204,12 @@ def check_nonseparable(g: Graph) -> NonseparabilityReport:
     if n == 1:
         return NonseparabilityReport(True, False, False, 0)
 
-    # iterative DFS lowlink; one outer loop pass per connected component
+    # iterative DFS lowlink (Hopcroft & Tarjan 1973); one outer loop pass
+    # per connected component.  A stack entry is (vertex, DFS parent or 0
+    # at the root, iterator over the vertex's neighbours).
+    adj = g._adj
     disc = [0] * (n + 1)
     low = [0] * (n + 1)
-    parent = [0] * (n + 1)
     timer = 1
     has_bridge = False
     has_art = False
@@ -189,38 +220,36 @@ def check_nonseparable(g: Graph) -> NonseparabilityReport:
             continue
         components += 1
         root_children = 0
-        stack: list[tuple[int, Iterable[int]]] = [(root, iter(g.neighbors(root)))]
         disc[root] = low[root] = timer
         timer += 1
+        stack = [(root, 0, iter(adj[root]))]
         while stack:
-            v, it = stack[-1]
-            advanced = False
+            v, parent, it = stack[-1]
             for w in it:
                 if not disc[w]:
-                    parent[w] = v
-                    if v == root:
-                        root_children += 1
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(g.neighbors(w))))
-                    advanced = True
+                    stack.append((w, v, iter(adj[w])))
                     break
-                elif w != parent[v]:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] > disc[p]:
+                if parent:
+                    low_v = low[v]
+                    if low_v < low[parent]:
+                        low[parent] = low_v
+                    if low_v > disc[parent]:
                         has_bridge = True
-                    if p != root and low[v] >= disc[p]:
+                    if parent == root:
+                        root_children += 1
+                    elif low_v >= disc[parent]:
                         has_art = True
         if root_children > 1:
             has_art = True
 
     connected = components == 1
-    min_degree = min(g.degree(v) for v in g.vertices())
+    min_degree = min(map(len, adj[1:]))
     return NonseparabilityReport(connected, has_bridge, has_art, min_degree)
 
 

@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tricliq import (
     DuplicateEdgeError,
@@ -16,6 +18,7 @@ from tricliq import (
 
 from conftest import gnp
 from extraction_reference import induced_subgraph
+from graph_reference import reference_nonseparable
 
 K4_PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -140,6 +143,27 @@ class TestNonseparable:
     def test_fixtures_pass(self, g1, g2, g3, g4, turan13):
         for fx in (g1, g2, g3, g4, turan13):
             assert check_nonseparable(fx.graph).is_nonseparable, fx.name
+
+
+@st.composite
+def small_graphs(draw, max_n=9):
+    """A simple graph on 1..max_n vertices: a sparse one, with isolated
+    vertices, bridges and several components, or one of any density."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    if not pairs:
+        return Graph(n, [])
+    if draw(st.booleans()):
+        chosen = draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
+        return Graph(n, sorted(chosen, key=pairs.index))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pq for pq, keep in zip(pairs, present) if keep])
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_nonseparability_matches_deletion_reference(g):
+    assert check_nonseparable(g) == reference_nonseparable(g)
 
 
 class TestIsClique:

@@ -1,7 +1,15 @@
-import pytest
+import random
+import tracemalloc
+from itertools import combinations
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import tricliq.io as io_module
 from tricliq import (
     FormatError,
+    Graph,
     complete,
     format_dimacs,
     format_edge_list,
@@ -10,7 +18,7 @@ from tricliq import (
     parse_dimacs,
     parse_edge_list,
 )
-from tricliq.io import loads
+from tricliq.io import _dimacs_lines, _edge_list_lines, loads
 
 
 def test_edge_list_round_trip(g3):
@@ -94,3 +102,186 @@ def test_file_round_trip(tmp_path):
     p2 = tmp_path / "k5.col"
     p2.write_text(format_dimacs(g), encoding="utf-8")
     assert load_graph(p2) == g
+
+
+@pytest.mark.parametrize("data", [
+    b"\xef\xbb\xbf3 2\n1 2\n2 3\n",                # edge list
+    b"\xef\xbb\xbfp edge 3 2\ne 1 2\ne 2 3\n",    # DIMACS, sniffed as such
+    b"\xef\xbb\xbf# a comment\n3 2\n1 2\n2 3\n",  # leading comment
+])
+def test_byte_order_mark_is_ignored(tmp_path, data):
+    p = tmp_path / "bom.txt"
+    p.write_bytes(data)
+    assert load_graph(p) == Graph(3, [(1, 2), (2, 3)])
+
+
+def test_undecodable_byte_after_byte_order_mark_keeps_its_line(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"\xef\xbb\xbf3 1\n\xff 2\n")
+    with pytest.raises(FormatError, match="byte 0xff") as err:
+        load_graph(p)
+    assert err.value.line == 2
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except FormatError as exc:
+        return "error", str(exc), exc.line
+    return "graph", g.n, g.edges, g._eid, g._adj
+
+
+BAD_TOKENS = ["+3", "1_0", "\u0663", "\uff13", "-1", "x", "3.0", "0"]
+
+
+@st.composite
+def graph_texts(draw):
+    """An edge-list or DIMACS text of a small graph, clean or mutated: pairs
+    repeated (perhaps flipped), self-loops, endpoints out of range, rows of
+    one or three tokens, comments, blank lines, odd tokens, a wrong edge
+    count, and any of CRLF, tabs, leading and trailing blanks."""
+    dimacs = draw(st.booleans())
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rows = [[str(v), str(u)] if draw(st.booleans()) else [str(u), str(v)]
+            for u, v in chosen]
+    count_shift = 0
+    vertex = st.integers(1, n).map(str)
+    for kind in draw(st.lists(st.sampled_from([
+            "duplicate", "self-loop", "out-of-range", "short", "long", "split",
+            "token", "comment", "blank", "count"]), max_size=3)):
+        at = draw(st.integers(0, len(rows)))
+        if kind == "duplicate" and rows:
+            row = draw(st.sampled_from(rows))
+            rows.insert(at, row[::-1] if draw(st.booleans()) else list(row))
+        elif kind == "self-loop":
+            rows.insert(at, [draw(vertex)] * 2)
+        elif kind == "out-of-range":
+            rows.insert(at, [draw(vertex), draw(st.sampled_from(["0", str(n + 1)]))])
+        elif kind == "short":
+            rows.insert(at, [draw(vertex)])
+        elif kind == "long":
+            rows.insert(at, [draw(vertex) for _ in range(3)])
+        elif kind == "split":  # "1 2 3\n4": as many tokens as two good rows
+            rows[at:at] = [[draw(vertex) for _ in range(3)], [draw(vertex)]]
+        elif kind == "token" and any(rows):
+            row = draw(st.sampled_from([row for row in rows if row]))
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        elif kind == "comment":
+            rows.insert(at, ["c" if dimacs else "#", "note"])
+        elif kind == "blank":
+            rows.insert(at, [])
+        elif kind == "count":
+            count_shift = draw(st.sampled_from([-1, 1]))
+    m = sum(1 for row in rows if row and row[0] not in ("c", "#")) + count_shift
+    header = ["p", "edge", str(n), str(m)] if dimacs else [str(n), str(m)]
+    lines = [header] + [["e"] + row if dimacs and row and row[0] != "c" else row
+                        for row in rows]
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    pad = draw(st.sampled_from(["", " ", "\t "]))
+    lead = draw(st.sampled_from(["", " "]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lead + sep.join(row) + pad for row in lines)
+    return dimacs, text + draw(st.sampled_from(["", eol, eol + eol, " "]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph_texts())
+@example((False, "4 2\n1 2 3\n4\n"))  # as many tokens as two good rows
+@example((True, "p edge 4 2\ne 1 2 3\ne 4\n"))
+@example((False, "4 1\n1\r2\n"))  # a lone CR breaks the line
+def test_bulk_parse_matches_line_parser(case):
+    dimacs, text = case
+    if dimacs:
+        assert _outcome(parse_dimacs, text) == _outcome(_dimacs_lines, text)
+    else:
+        assert _outcome(parse_edge_list, text) == _outcome(_edge_list_lines, text)
+
+
+def test_bulk_parse_ignores_numbers_past_the_int_conversion_limit():
+    huge = "9" * 5000
+    for text in (f"{huge} 1\n1 2\n", f"3 1\n1 {huge}\n",
+                 f"p edge 3 1\ne {huge} 2\n"):
+        parse, lines = ((parse_dimacs, _dimacs_lines) if text[0] == "p"
+                        else (parse_edge_list, _edge_list_lines))
+        assert _outcome(parse, text) == _outcome(lines, text)
+
+
+def _sparse_dimacs(n, m, seed):
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randint(1, n), rng.randint(1, n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return "".join([f"p edge {n} {m}\n"] + [f"e {u} {v}\n" for u, v in edges])
+
+
+def test_clean_file_takes_the_bulk_path(monkeypatch):
+    def refuse(text):
+        raise AssertionError("a clean file reached the line parser")
+
+    text = _sparse_dimacs(12000, 60000, seed=7)
+    monkeypatch.setattr(io_module, "_dimacs_lines", refuse)
+    monkeypatch.setattr(io_module, "_edge_list_lines", refuse)
+    g = loads(text)
+    assert (g.n, g.m) == (12000, 60000)
+    assert loads(format_edge_list(g).replace("\n", "\r\n")) == g
+
+
+def test_parsing_a_large_file_costs_little_memory():
+    # tokens, pairs and the finished graph: the token list must be gone
+    # before the graph is built
+    text = _sparse_dimacs(12000, 60000, seed=7)
+    tracemalloc.start()
+    try:
+        g = loads(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 60000
+    assert peak <= 32 << 20
+
+
+@st.composite
+def sniff_texts(draw):
+    pieces = ["#", "c", "p", "e", "1", " ", "\t", "\n", "\r", "\x0c",
+              "\x1c", "\x85", "\u2028", "\xa0", "x"]
+    return "".join(draw(st.lists(st.sampled_from(pieces), max_size=12)))
+
+
+def _sniff_by_lines(text):
+    """The format loads() picks, found by splitting every line up front."""
+    for ln in text.splitlines():
+        s = ln.strip()
+        if not s:
+            continue
+        if s.startswith(("c", "p", "e")):
+            return "dimacs"
+        if not s.startswith("#"):
+            return "edge list"
+    return "empty"
+
+
+@settings(max_examples=300, deadline=None)
+@given(sniff_texts())
+def test_loads_sniffs_the_first_data_line(text):
+    with mock.patch.object(io_module, "parse_dimacs", lambda t: "dimacs"), \
+            mock.patch.object(io_module, "parse_edge_list", lambda t: "edge list"):
+        try:
+            picked = loads(text)
+        except FormatError as exc:
+            assert (str(exc), exc.line) == ("line 1: empty input", 1)
+            picked = "empty"
+    assert picked == _sniff_by_lines(text)
+
+
+LINE_BREAKS = [c for c in map(chr, range(0x110000))
+               if len(f"a{c}b".splitlines()) == 2]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_loads_ends_a_comment_where_splitlines_does(brk):
+    with mock.patch.object(io_module, "parse_dimacs", lambda t: "dimacs"):
+        assert loads(f"# note{brk}p edge 1 0") == "dimacs"
