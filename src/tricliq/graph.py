@@ -9,15 +9,15 @@ the dict from endpoint pair to edge id, so its memory grows with n + m.
 Layers that work on bitsets (the exact oracles) build their own over the
 vertices they search.
 
-The constructor checks and indexes all pairs with whole-list operations; only
-when a check fails does it walk the pairs in order to name the first bad one.
-``check_nonseparable`` is the linear-time lowpoint DFS of Hopcroft and Tarjan
-("Efficient algorithms for graph manipulation", CACM 1973).
+The constructor reads the pairs once, in the order given: it checks each
+pair, numbers it and adds it to both adjacency lists, and stops at the first
+pair it rejects.  ``check_nonseparable`` is the linear-time lowpoint DFS of
+Hopcroft and Tarjan ("Efficient algorithms for graph manipulation", CACM
+1973).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -56,31 +56,18 @@ def ring_sum(sets: Iterable[Iterable[int]]) -> frozenset[int]:
     return acc
 
 
-def _raise_first_rejected(n: int, pairs: list[tuple[int, int]]) -> None:
-    """Raise the error for the first pair ``Graph(n, pairs)`` rejects: an
-    endpoint outside 1..n, a self-loop, or a pair seen before."""
-    seen = set()
-    for i, (u, v) in enumerate(pairs):
-        if not (1 <= u <= n and 1 <= v <= n):
-            exc: GraphError = VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
-        elif u == v:
-            exc = SelfLoopError(f"self-loop at vertex {u}")
-        else:
-            if u > v:
-                u, v = v, u
-            if (u, v) not in seen:
-                seen.add((u, v))
-                continue
-            exc = DuplicateEdgeError(f"duplicate edge ({u},{v})")
-        exc.position = i
-        raise exc
-
-
 class Graph:
     """Undirected simple graph on vertices ``1..n``.
 
     Immutable after construction.  ``edges[j-1]`` holds the endpoints of
     edge ``j`` as an ordered pair ``(u, v)`` with ``u < v``.
+
+    ``pairs`` may be any iterable, a one-shot iterator included; it is read
+    once.  Each pair is checked as it is read: both endpoints in ``1..n``
+    (the message shows the pair as given), then no self-loop, then, with
+    its endpoints ordered, not seen before.  The first pair that fails
+    raises the matching ``GraphError`` subclass with ``position`` set to
+    its 0-based index.
     """
 
     __slots__ = ("n", "m", "edges", "_eid", "_adj")
@@ -88,23 +75,28 @@ class Graph:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 1:
             raise VertexRangeError(f"vertex count must be positive, got {n}")
-        pairs = list(pairs)
-        m = len(pairs)
-        lows = list(map(min, pairs))
-        highs = list(map(max, pairs))
-        edges = tuple(zip(lows, highs))
-        eid = dict(zip(edges, range(1, m + 1)))
-        if m and (min(lows) < 1 or max(highs) > n
-                  or any(map(operator.eq, lows, highs))) or len(eid) < m:
-            _raise_first_rejected(n, pairs)
+        eid: dict[tuple[int, int], int] = {}
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        for u, v in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
+        for i, (u, v) in enumerate(pairs):
+            if not (1 <= u <= n and 1 <= v <= n):
+                exc: GraphError = VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
+            elif u == v:
+                exc = SelfLoopError(f"self-loop at vertex {u}")
+            else:
+                if u > v:
+                    u, v = v, u
+                if (u, v) not in eid:
+                    eid[u, v] = i + 1
+                    adj[u].append(v)
+                    adj[v].append(u)
+                    continue
+                exc = DuplicateEdgeError(f"duplicate edge ({u},{v})")
+            exc.position = i
+            raise exc
 
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "m", len(eid))
+        object.__setattr__(self, "edges", tuple(eid))
         object.__setattr__(self, "_eid", eid)
         object.__setattr__(self, "_adj", tuple(map(frozenset, adj)))
 

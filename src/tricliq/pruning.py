@@ -186,6 +186,7 @@ def full_trace(
     maximum pointer only moves down.  ``triangles`` defaults to all of
     ``g``'s; a caller may pass any of them in ascending id order, such as
     those inside a vertex subset, and the records name them by their ids.
+    A triangle naming an edge id outside ``1..g.m`` raises ``GraphError``.
     """
     if mode not in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
         raise GraphError(f"unknown trace mode {mode!r}")
@@ -203,6 +204,9 @@ def full_trace(
     buckets: list[set[int]] = [set() for _ in range(
         max(map(len, through.values()), default=0) + 1)]
     for e, ks in through.items():
+        if not 1 <= e <= g.m:
+            raise GraphError(f"triangle {triangles[ks[0]].id} references edge "
+                             f"{e} outside 1..{g.m}")
         weight[e] = len(ks)
         buckets[len(ks)].add(e)
     lo, hi = 1, len(buckets) - 1

@@ -1,14 +1,44 @@
-"""Nonseparability by deletion: the reference ``check_nonseparable`` is held to.
+"""References that ``Graph`` and ``check_nonseparable`` are held to.
 
-A bridge is an edge, and an articulation point a vertex, whose deletion
-leaves more connected components than the graph has.  Counting components
-once per edge and once per vertex costs O((n + m)^2), so the tests run it
-only on small graphs.
+``_raise_first_rejected`` walks a pair list in order and raises the error
+``Graph(n, pairs)`` must raise for the first pair it rejects.
+
+Nonseparability by deletion: a bridge is an edge, and an articulation point
+a vertex, whose deletion leaves more connected components than the graph
+has.  Counting components once per edge and once per vertex costs
+O((n + m)^2), so the tests run it only on small graphs.
 """
 
 from __future__ import annotations
 
-from tricliq import Graph, NonseparabilityReport
+from tricliq import (
+    DuplicateEdgeError,
+    Graph,
+    GraphError,
+    NonseparabilityReport,
+    SelfLoopError,
+    VertexRangeError,
+)
+
+
+def _raise_first_rejected(n: int, pairs: list[tuple[int, int]]) -> None:
+    """Raise the error for the first pair ``Graph(n, pairs)`` rejects: an
+    endpoint outside 1..n, a self-loop, or a pair seen before."""
+    seen = set()
+    for i, (u, v) in enumerate(pairs):
+        if not (1 <= u <= n and 1 <= v <= n):
+            exc: GraphError = VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
+        elif u == v:
+            exc = SelfLoopError(f"self-loop at vertex {u}")
+        else:
+            if u > v:
+                u, v = v, u
+            if (u, v) not in seen:
+                seen.add((u, v))
+                continue
+            exc = DuplicateEdgeError(f"duplicate edge ({u},{v})")
+        exc.position = i
+        raise exc
 
 
 def components(vertices: set[int], pairs: list[tuple[int, int]]) -> int:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from tricliq import (
     DuplicateEdgeError,
     EmptyVertexSetError,
     Graph,
+    GraphError,
     SelfLoopError,
     VertexRangeError,
     check_nonseparable,
@@ -18,7 +20,7 @@ from tricliq import (
 
 from conftest import gnp
 from extraction_reference import induced_subgraph
-from graph_reference import reference_nonseparable
+from graph_reference import _raise_first_rejected, reference_nonseparable
 
 K4_PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -61,6 +63,70 @@ class TestConstruction:
             u, v = g.endpoints(e)
             assert g.edge_id(v, u) == e
             assert v in g.neighbors(u) and u in g.neighbors(v)
+
+
+@st.composite
+def pair_lists(draw):
+    """``(n, pairs)`` with endpoints in 0..n+1 given in either order:
+    self-loops, repeats in both directions and several bad pairs, or, half
+    the time, only the pairs the reference accepts."""
+    n = draw(st.integers(1, 6))
+    ends = st.integers(0, n + 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    if draw(st.booleans()):
+        kept, seen = [], set()
+        for u, v in pairs:
+            key = (min(u, v), max(u, v))
+            if 1 <= key[0] and key[1] <= n and u != v and key not in seen:
+                seen.add(key)
+                kept.append((u, v))
+        pairs = kept
+    return n, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_lists())
+def test_construction_matches_first_rejected_reference(case):
+    n, pairs = case
+    try:
+        _raise_first_rejected(n, pairs)
+    except GraphError as expected:
+        with pytest.raises(GraphError) as err:
+            Graph(n, iter(pairs))
+        assert type(err.value) is type(expected)
+        assert str(err.value) == str(expected)
+        assert err.value.position == expected.position
+        return
+    g = Graph(n, iter(pairs))
+    edges = tuple((min(u, v), max(u, v)) for u, v in pairs)
+    assert g.m == len(edges) and g.edges == edges
+    assert g._eid == {e: j for j, e in enumerate(edges, 1)}
+    adj = [set() for _ in range(n + 1)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    assert g._adj == tuple(map(frozenset, adj))
+
+
+def test_building_from_a_generator_costs_little_transient_memory():
+    # the pairs of the circulant C_12000(1..5), ordered, made one at a time:
+    # the graph is built in one pass that keeps no list of the pairs
+    n = 12000
+
+    def pairs():
+        for d in range(1, 6):
+            for u in range(1, n + 1):
+                v = (u + d - 1) % n + 1
+                yield (u, v) if u < v else (v, u)
+
+    tracemalloc.start()
+    try:
+        g = Graph(n, pairs())
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 60000 and g.degree(1) == 10
+    assert peak - retained <= 4 << 20
 
 
 class TestComplement:

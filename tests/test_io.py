@@ -80,6 +80,16 @@ def test_dimacs_graph_errors_name_the_offending_record(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("parse,text", [
+    (parse_edge_list, "3 1\n5 3\n"),
+    (parse_dimacs, "p edge 3 1\ne 5 3\n"),
+], ids=["edge-list", "dimacs"])
+def test_range_error_names_the_pair_as_given(parse, text):
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert str(err.value) == "line 2: edge (5,3) outside 1..3"
+
+
 def test_dimacs_errors():
     with pytest.raises(FormatError):
         parse_dimacs("e 1 2\n")  # edge before problem line

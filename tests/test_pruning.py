@@ -7,9 +7,11 @@ from tricliq import (
     GraphError,
     MODE_EARLY_STOP,
     MODE_EXHAUSTIVE,
+    Triangle,
     complete,
     edge_weight_vector,
     enumerate_triangles,
+    extract_max_clique,
     full_trace,
     moon_moser,
 )
@@ -211,6 +213,24 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
     assert trace.triangle_by_id(10) == inside[-1]
     with pytest.raises(GraphError):
         trace.triangle_by_id(1)
+
+
+@pytest.mark.parametrize("entry", [full_trace, extract_max_clique])
+@pytest.mark.parametrize("g,triangles,message", [
+    # K_5's triangle 3 is (1,2,5), whose edge (2,5) is edge 7 of K_5
+    (complete(4), enumerate_triangles(complete(5)),
+     "triangle 3 references edge 7 outside 1..6"),
+    (complete(3), [Triangle(id=1, vertices=(1, 2, 3), edges=(0, 2, 3))],
+     "triangle 1 references edge 0 outside 1..3"),
+    (complete(4), enumerate_triangles(complete(4))[:1]
+     + (Triangle(id=2, vertices=(1, 2, 4), edges=(-1, 1, 3)),),
+     "triangle 2 references edge -1 outside 1..6"),
+], ids=["above-m", "zero", "negative"])
+def test_triangles_naming_edges_outside_the_graph_are_rejected(
+        entry, g, triangles, message):
+    with pytest.raises(GraphError) as err:
+        entry(g, triangles=triangles)
+    assert str(err.value) == message
 
 
 @settings(max_examples=60, deadline=None)
