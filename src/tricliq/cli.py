@@ -69,13 +69,18 @@ def cmd_triangles(args) -> int:
     g = load_graph(args.input)
     tris = enumerate_triangles(g)
     if args.json:
-        print(json.dumps({
-            "count": len(tris),
-            "triangles": [{"id": t.id, "vertices": list(t.vertices),
-                           "edges": list(t.edges)} for t in tris],
-            "edge_weights": list(edge_weight_vector(g, tris)),
-            "vertex_weights": list(vertex_weight_vector(g, tris)),
-        }))
+        edge_weights = edge_weight_vector(g, tris)
+        vertex_weights = vertex_weight_vector(g, tris)
+        # the bytes of json.dumps of the whole object, one triangle per write
+        write = sys.stdout.write
+        write(f'{{"count": {len(tris)}, "triangles": [')
+        sep = ""
+        for t in tris:
+            write(sep + '{"id": %d, "vertices": [%d, %d, %d], "edges": [%d, %d, %d]}'
+                  % (t.id, *t.vertices, *t.edges))
+            sep = ", "
+        write(f'], "edge_weights": [{", ".join(map(str, edge_weights))}], '
+              f'"vertex_weights": [{", ".join(map(str, vertex_weights))}]}}\n')
         return 0
     print(f"{len(tris)} triangles")
     for t in tris:
@@ -88,7 +93,8 @@ def cmd_trace(args) -> int:
     _warn_if_separable(g)
     trace = full_trace(g, mode=args.mode)
     if args.json:
-        print(json.dumps(trace.to_json_obj()))
+        trace.write_json(sys.stdout.write)
+        sys.stdout.write("\n")
         return 0
     if not trace.records:
         print("i  MIN  MAX  surviving  min_edges")

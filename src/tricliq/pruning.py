@@ -21,6 +21,12 @@ follow from the removals before it; they are rebuilt when read, so a caller
 pays for them only when it asks.  The per-edge triangle lists outlive the
 peel: they are kept for extraction, which reads a seed edge's surviving
 triangles off its list in time proportional to the edge's weight, not T.
+
+The JSON log has one weight vector per record, O(records * m) numbers.
+``Trace.to_json_obj`` builds it as one object, which the bench's export
+probe and the tests read; ``Trace.write_json`` writes the same bytes one
+record at a time, re-formatting only the weights a record's removals
+changed, and ``tricliq trace --json`` streams through it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graph import Graph, GraphError
 from .triangles import Triangle, edge_weight_vector, enumerate_triangles
@@ -145,27 +151,64 @@ class Trace:
             raise GraphError(f"triangle {tid} is not in this trace")
         return self.triangles[i]
 
-    def to_json_obj(self) -> list[dict]:
-        """One object per record; the weights come from a single count array
-        decremented by each record's removals."""
+    def _walk(self) -> Iterator[tuple[IterationRecord, list[int], list[int]]]:
+        """Each record with the 0-based weight list at its start and the
+        positions changed since the previous record.
+
+        One count list serves every record: after a record is yielded, the
+        edges of its removed triangles are decremented in place, so a caller
+        reads the list before asking for the next record.
+        """
         if not self.records:
-            return []
+            return
         counts = list(self.records[0].weights)
         edges_of = {t.id: t.edges for t in self.triangles}
-        out = []
+        changed: list[int] = []
         for r in self.records:
-            out.append({
-                "i": r.index,
-                "min": r.min_weight,
-                "max": r.max_weight,
-                "min_edges": list(r.min_edges),
-                "removed_ids": list(r.removed),
-                "weights": list(counts),
-            })
-            for t in r.removed:
-                for e in edges_of[t]:
-                    counts[e - 1] -= 1
-        return out
+            yield r, counts, changed
+            changed = [e - 1 for t in r.removed for e in edges_of[t]]
+            for i in changed:
+                counts[i] -= 1
+
+    def to_json_obj(self) -> list[dict]:
+        """One object per record, with a copy of its weight vector.
+
+        The object is O(records * m); the bench's export probe and the tests
+        read it.  ``write_json`` writes the same bytes as ``json.dumps`` of
+        it without building it.
+        """
+        return [{
+            "i": r.index,
+            "min": r.min_weight,
+            "max": r.max_weight,
+            "min_edges": list(r.min_edges),
+            "removed_ids": list(r.removed),
+            "weights": list(counts),
+        } for r, counts, _ in self._walk()]
+
+    def write_json(self, write: Callable[[str], object]) -> None:
+        """Write ``json.dumps(self.to_json_obj())`` through ``write``: one
+        call per record, then one for the closing bracket.
+
+        Each edge keeps its weight as a string token, and only the tokens of
+        the edges a record's removals touched are re-formatted, so the whole
+        log costs O(T + m) int-to-string conversions plus one join per
+        record, and memory stays at one record plus the tokens.
+        """
+        sep = "["
+        tokens: list[str] = []
+        for r, counts, changed in self._walk():
+            if not tokens:
+                tokens = list(map(str, counts))
+            for i in changed:
+                tokens[i] = str(counts[i])
+            write(f'{sep}{{"i": {r.index}, "min": {r.min_weight}, '
+                  f'"max": {r.max_weight}, '
+                  f'"min_edges": [{", ".join(map(str, r.min_edges))}], '
+                  f'"removed_ids": [{", ".join(map(str, r.removed))}], '
+                  f'"weights": [{", ".join(tokens)}]}}')
+            sep = ", "
+        write("[]" if sep == "[" else "]")
 
 
 def full_trace(

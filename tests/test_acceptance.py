@@ -30,7 +30,7 @@ from tricliq import (
     ring_sum,
 )
 
-from conftest import gnp
+from conftest import corpus_graph
 from trace_reference import assert_matches_reference, reference_trace
 
 CORPUS_SIZE = 1000
@@ -44,12 +44,7 @@ def _report(num: str, ok: bool, detail: str = "") -> bool:
 
 @pytest.fixture(scope="module")
 def corpus():
-    graphs = []
-    for i in range(CORPUS_SIZE):
-        n = 5 + i % 20                      # 5..24
-        p = (0.3, 0.5, 0.7)[i % 3]
-        graphs.append(gnp(n, p, seed=i))
-    return graphs
+    return [corpus_graph(i) for i in range(CORPUS_SIZE)]
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,7 @@
+import io
+import json
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +20,7 @@ from tricliq import (
     moon_moser,
 )
 
-from conftest import gnp
+from conftest import corpus_graph, edge_sets, gnp
 from trace_reference import (
     EmptyIterationError,
     assert_matches_reference,
@@ -267,15 +271,58 @@ def test_trace_invariants_on_random_graphs(n, p, seed):
     assert len(trace.records) <= g.n * (g.n - 1) * (g.n - 2) // 6
 
 
-@st.composite
-def edge_sets(draw):
-    n = draw(st.integers(1, 14))
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [p for p, k in zip(pairs, keep) if k])
-
-
 @settings(max_examples=150, deadline=None)
 @given(edge_sets(), st.sampled_from(MODES))
 def test_engine_matches_reference_recount(g, mode):
     assert_matches_reference(full_trace(g, mode=mode), reference_trace(g, mode))
+
+
+def streamed(trace) -> str:
+    buf = io.StringIO()
+    trace.write_json(buf.write)
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_sets(), st.sampled_from(MODES))
+def test_streamed_json_equals_the_object_encoding(g, mode):
+    trace = full_trace(g, mode=mode)
+    assert streamed(trace) == json.dumps(trace.to_json_obj())
+
+
+def test_streamed_json_of_a_triangle_free_graph_is_an_empty_list():
+    trace = full_trace(moon_moser(2))
+    assert not trace.records
+    assert streamed(trace) == "[]"
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_streamed_json_of_a_triangle_subset(n):
+    # ids of a subset skip numbers and its weights leave edges at 0
+    g = complete(n)
+    inside = tuple(t for t in enumerate_triangles(g) if 1 not in t.vertices)
+    trace = full_trace(g, triangles=inside)
+    assert streamed(trace) == json.dumps(trace.to_json_obj())
+
+
+def test_streamed_json_on_the_corpus_slice():
+    for i in range(0, 1000, 20):
+        g = corpus_graph(i)
+        for mode in MODES:
+            trace = full_trace(g, mode=mode)
+            assert streamed(trace) == json.dumps(trace.to_json_obj()), i
+
+
+def test_streaming_holds_one_record_not_the_log():
+    # 689 records of 2466 weights, 5.9 MiB of JSON: the object form and its
+    # string peak at about 25 MiB, the stream at about 1 MiB
+    trace = full_trace(gnp(100, 0.5, 1))
+    written = []
+    tracemalloc.start()
+    try:
+        trace.write_json(lambda text: written.append(len(text)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(written) == len(trace.records) + 1 and sum(written) > 5 << 20
+    assert peak <= 4 << 20
