@@ -69,18 +69,13 @@ def cmd_triangles(args) -> int:
     g = load_graph(args.input)
     tris = enumerate_triangles(g)
     if args.json:
-        edge_weights = edge_weight_vector(g, tris)
-        vertex_weights = vertex_weight_vector(g, tris)
-        # the bytes of json.dumps of the whole object, one triangle per write
-        write = sys.stdout.write
-        write(f'{{"count": {len(tris)}, "triangles": [')
-        sep = ""
-        for t in tris:
-            write(sep + '{"id": %d, "vertices": [%d, %d, %d], "edges": [%d, %d, %d]}'
-                  % (t.id, *t.vertices, *t.edges))
-            sep = ", "
-        write(f'], "edge_weights": [{", ".join(map(str, edge_weights))}], '
-              f'"vertex_weights": [{", ".join(map(str, vertex_weights))}]}}\n')
+        print(json.dumps({
+            "count": len(tris),
+            "triangles": [{"id": t.id, "vertices": list(t.vertices),
+                           "edges": list(t.edges)} for t in tris],
+            "edge_weights": list(edge_weight_vector(g, tris)),
+            "vertex_weights": list(vertex_weight_vector(g, tris)),
+        }))
         return 0
     print(f"{len(tris)} triangles")
     for t in tris:

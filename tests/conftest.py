@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import strategies as st
 
 from tricliq import Graph, load_fixture
 
@@ -16,15 +15,6 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         if rng.random() < p
     ]
     return Graph(n, pairs)
-
-
-@st.composite
-def edge_sets(draw, max_n: int = 14) -> Graph:
-    """Any simple graph on 1..max_n vertices, each pair an edge or not."""
-    n = draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [p for p, k in zip(pairs, keep) if k])
 
 
 def corpus_graph(i: int) -> Graph:

@@ -1,24 +1,11 @@
-import contextlib
 import inspect
-import io
 import json
 import sys
 
 import pytest
-from hypothesis import given, settings
 
-from tricliq import (
-    Graph,
-    complete,
-    enumerate_triangles,
-    format_edge_list,
-    full_trace,
-    moon_moser,
-)
+from tricliq import complete, enumerate_triangles, format_edge_list, moon_moser
 from tricliq.cli import main
-
-from cli_reference import triangles_json
-from conftest import corpus_graph, edge_sets
 
 
 @pytest.fixture()
@@ -166,31 +153,6 @@ def test_trace_json_failing_trace_writes_nothing(capsys, monkeypatch, g3_path):
     assert code == 3
     assert out == ""
     assert "invariant" in err
-
-
-def cli_stdout(tmp_dir, g: Graph, *argv) -> str:
-    path = tmp_dir / "g.edges"
-    path.write_text(format_edge_list(g))
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert main([argv[0], str(path), *argv[1:]]) == 0
-    return buf.getvalue()
-
-
-@settings(max_examples=60, deadline=None)
-@given(edge_sets(max_n=12))
-def test_streamed_triangles_json_equals_the_whole_object_encoding(
-        tmp_path_factory, g):
-    tmp = tmp_path_factory.mktemp("stream")
-    assert cli_stdout(tmp, g, "triangles", "--json") == triangles_json(g)
-
-
-def test_streamed_json_on_the_corpus_slice(tmp_path):
-    for i in range(0, 1000, 40):
-        g = corpus_graph(i)
-        assert cli_stdout(tmp_path, g, "triangles", "--json") == triangles_json(g), i
-        assert (cli_stdout(tmp_path, g, "trace", "--json")
-                == json.dumps(full_trace(g).to_json_obj()) + "\n"), i
 
 
 def test_clique_g3(capsys, g3_path):

@@ -20,7 +20,7 @@ from tricliq import (
     moon_moser,
 )
 
-from conftest import corpus_graph, edge_sets, gnp
+from conftest import corpus_graph, gnp
 from trace_reference import (
     EmptyIterationError,
     assert_matches_reference,
@@ -269,6 +269,14 @@ def test_trace_invariants_on_random_graphs(n, p, seed):
                       if min_set & set(by_id[c].edges)]
         assert list(rec.removed) == expected_q
     assert len(trace.records) <= g.n * (g.n - 1) * (g.n - 2) // 6
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])
 
 
 @settings(max_examples=150, deadline=None)
