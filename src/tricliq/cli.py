@@ -52,6 +52,17 @@ def _int_param(text: str) -> int:
         raise GraphError(f"expected an integer parameter, got {text!r}") from None
 
 
+def _budget(text: str) -> int:
+    """A budget option: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def cmd_generate(args) -> int:
     if args.family == "complete":
         g = complete(_int_param(args.params))
@@ -259,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run an exact method")
     p.add_argument("input")
     p.add_argument("--method", choices=["search", "maghout"], default="search")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_budget, default=10_000_000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("validate", help="heuristic vs. exact oracles")
     p.add_argument("input")
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--maghout-budget", type=int, default=30)
+    p.add_argument("--budget", type=_budget, default=10_000_000)
+    p.add_argument("--maghout-budget", type=_budget, default=30)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 

@@ -5,31 +5,34 @@ it are gathered, and the union of their vertices forms the candidate
 subgraph H.  If H induces a complete graph it is the clique; otherwise the
 whole algorithm is re-applied to the subgraph induced by H.
 
-That re-application is a loop over the caller's one triangle list.  The
-triangles of the subgraph induced by H are exactly the graph's triangles
-inside H, so each level keeps the previous level's triangles inside H,
-under their original ids and edge ids, traces them, and takes the next seed
-from that trace's main iteration.  H shrinks at every level, and the level
-whose H is complete holds the clique's witness triangles.
+That re-application is a loop over the caller's one ``TriangleStore``.
+The triangles of the subgraph induced by H are exactly the graph's
+triangles inside H, so each level keeps the previous level's triangles
+inside H as a store of their own, under their original ids and edge ids,
+traces it, and takes the next seed from that trace's main iteration.  H
+shrinks at every level, and the level whose H is complete holds the
+clique's witness triangles.
 
-A level costs what its seed touches, not the triangle count.  H comes from
-the seed's per-edge list, kept by the trace.  Every level's list is in
-canonical vertex-triple order, so the triangles whose lowest vertex is u
-form one slice, and only the slices of H's vertices are read.
+A level costs what its seed touches, not the triangle count.  H is read
+off the vertex columns at the positions on the seed's per-edge list, kept
+by the trace.  Every level's store is in canonical vertex-triple order, so
+the triangles whose lowest vertex is u form one run of positions, found by
+bisecting the lowest-vertex column; only the runs of H's vertices are read,
+and their other two vertex columns are filtered by ``map`` passes.  No
+``Triangle`` is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, compress
+from operator import and_
 from typing import Sequence
 
 from .graph import Graph, GraphError, is_clique
-from .pruning import MODE_EXHAUSTIVE, IterationRecord, full_trace
-from .triangles import Triangle, enumerate_triangles
-
-_vertices = attrgetter("vertices")
+from .pruning import MODE_EXHAUSTIVE, IterationRecord, _main_index, _peel
+from .triangles import Triangle, TriangleStore, enumerate_triangles
 
 
 class NoTrianglesThroughEdgeError(GraphError):
@@ -83,16 +86,20 @@ def subgraph_for_edge(
 ) -> frozenset[int]:
     """H: the union of the vertex triples of the listed triangles through ``edge``.
 
-    ``triangles`` must be ``enumerate_triangles(g)``, so that triangle ``c``
-    sits at position ``c - 1``.  This scans every listed id; extraction
-    reads H off the seed's per-edge list instead.
+    ``triangles`` must be ``enumerate_triangles(g)``, or a tuple of its
+    triangles, so that triangle ``c`` sits at position ``c - 1``.  This
+    scans every listed id; extraction reads H off the seed's per-edge list
+    instead.
     """
     g._check_edge(edge)
+    store = TriangleStore.of(g, triangles)
+    us, vs, ws = store.us, store.vs, store.ws
+    e1, e2, e3 = store.e1, store.e2, store.e3
     h: set[int] = set()
     for c in triangle_ids:
-        t = triangles[c - 1]
-        if edge in t.edges:
-            h.update(t.vertices)
+        k = c - 1
+        if edge in (e1[k], e2[k], e3[k]):
+            h.update((us[k], vs[k], ws[k]))
     if not h:
         raise NoTrianglesThroughEdgeError(
             f"edge {edge} lies on no triangle of the given set")
@@ -102,52 +109,64 @@ def subgraph_for_edge(
 def _seed_subgraph(record: IterationRecord, edge: int) -> frozenset[int]:
     """H for ``edge``: the vertices of ``record``'s surviving triangles on it,
     read off the edge's per-edge list in time proportional to its weight."""
-    h: set[int] = set()
-    for t in record.surviving_through(edge):
-        h.update(t.vertices)
-    return frozenset(h)
+    store = record._removals.store
+    ks = record._removals.alive_on(record.index, edge)
+    return frozenset(chain(map(store.us.__getitem__, ks),
+                           map(store.vs.__getitem__, ks),
+                           map(store.ws.__getitem__, ks)))
 
 
-def _inside(level: Sequence[Triangle], h: frozenset[int]) -> tuple[Triangle, ...]:
-    """The triangles of ``level`` whose vertices all lie in ``h``.
+def _inside(store: TriangleStore, h: frozenset[int]) -> list[int]:
+    """The positions in ``store`` of the triangles whose vertices all lie in ``h``.
 
-    ``level`` is in canonical vertex-triple order, so the triangles whose
-    lowest vertex is ``u`` form one slice, found by two bisections; only the
-    slices of the vertices of ``h`` are read.  The two largest vertices of
-    ``h`` cannot be the lowest vertex of a triangle inside it.
+    The triangles whose lowest vertex is ``u`` form one run of positions,
+    found by two bisections of the ``us`` column; only the runs of the
+    vertices of ``h`` are read, and each is filtered on the other two vertex
+    columns.  The two largest vertices of ``h`` cannot be the lowest vertex
+    of a triangle inside it.
     """
-    inside: list[Triangle] = []
+    us, vs, ws = store.us, store.vs, store.ws
+    in_h = h.__contains__
+    inside: list[int] = []
+    hi = 0
     for u in sorted(h)[:-2]:
-        lo = bisect_left(level, (u,), key=_vertices)
-        hi = bisect_left(level, (u + 1,), lo, key=_vertices)
-        inside.extend(t for t in level[lo:hi] if h.issuperset(t.vertices))
-    return tuple(inside)
+        lo = bisect_left(us, u, hi)
+        hi = bisect_left(us, u + 1, lo)
+        inside.extend(compress(range(lo, hi), map(
+            and_, map(in_h, vs[lo:hi]), map(in_h, ws[lo:hi]))))
+    return inside
+
+
+def _main_record(g: Graph, store: TriangleStore, mode: str) -> IterationRecord:
+    """The main iteration of the trace of ``store``."""
+    records = _peel(g, store)
+    return records[_main_index(records, mode)]
 
 
 def _grow(
     g: Graph,
-    triangles: tuple[Triangle, ...],
+    store: TriangleStore,
     record: IterationRecord,
     edge: int,
     mode: str,
 ) -> CliqueResult:
     """Grow a clique from ``edge``, a minimum edge of ``record``, the main
-    iteration of the trace of ``triangles``.
+    iteration of the trace of ``store``.
 
-    Each level's triangles are the previous level's that lie inside H, still
-    under their ids in the first level, so they are exactly the triangles of
-    the subgraph induced by H.  The final level's list is the witnesses.
+    Each level is a store of the previous level's triangles that lie inside
+    H, under their ids in ``store``, so they are exactly the triangles of
+    the subgraph induced by H.  The final level is the witnesses.
     """
     seeds = [edge]
-    level = triangles
+    level = store
     n = g.n
     while True:
         h = _seed_subgraph(record, edge)
-        level = _inside(level, h)
+        level = level.take(_inside(level, h))
         if is_clique(g, h):
             return CliqueResult(
                 vertices=h,
-                witness_triangles=tuple(t.id for t in level),
+                witness_triangles=tuple(level.ids),
                 seed_edges=tuple(seeds),
                 is_verified_clique=True,
                 recursion_depth=len(seeds) - 1,
@@ -161,7 +180,7 @@ def _grow(
                 f"extraction from edge {edge} kept all {n} vertices of a "
                 "non-complete subgraph; invariant violated")
         n = len(h)
-        record = full_trace(g, mode=mode, triangles=level).main_iteration()
+        record = _main_record(g, level, mode)
         # the subgraph induced by H numbers its edges in endpoint-pair
         # order, so its lowest minimum edge has the smallest pair
         edge = min(record.min_edges, key=g.endpoints)
@@ -183,8 +202,9 @@ def extract_max_clique(
     enumeration.  On a triangle-free graph the result degrades to the first
     edge, or the first vertex, flagged ``degenerate``.
     """
-    triangles = enumerate_triangles(g) if triangles is None else tuple(triangles)
-    if not triangles:
+    store = (enumerate_triangles(g) if triangles is None
+             else TriangleStore.of(g, triangles))
+    if not store:
         vertices = frozenset(g.endpoints(1) if g.m else (1,))
         return CliqueResult(
             vertices=vertices,
@@ -194,14 +214,14 @@ def extract_max_clique(
             recursion_depth=0,
             degenerate=True,
         )
-    record = full_trace(g, mode=mode, triangles=triangles).main_iteration()
+    record = _main_record(g, store, mode)
     if seed_edge is None:
         seed_edge = record.min_edges[0]
     elif seed_edge not in record.min_edges:
         raise GraphError(
             f"seed edge {seed_edge} does not attain the minimum weight "
             f"{record.min_weight} in the main iteration")
-    return _grow(g, triangles, record, seed_edge, mode)
+    return _grow(g, store, record, seed_edge, mode)
 
 
 @dataclass(frozen=True)
@@ -219,11 +239,11 @@ def cliques_per_min_edge(g: Graph, mode: str = MODE_EXHAUSTIVE) -> PerEdgeClique
     resolving the choice silently; ``distinct`` holds the deduplicated
     vertex sets in canonical order.
     """
-    triangles = enumerate_triangles(g)
-    if not triangles:
+    store = enumerate_triangles(g)
+    if not store:
         return PerEdgeCliques(by_edge={}, distinct=())
-    record = full_trace(g, mode=mode, triangles=triangles).main_iteration()
-    by_edge = {edge: _grow(g, triangles, record, edge, mode)
+    record = _main_record(g, store, mode)
+    by_edge = {edge: _grow(g, store, record, edge, mode)
                for edge in record.min_edges}
     distinct = tuple(
         sorted({r.vertices for r in by_edge.values()}, key=lambda s: sorted(s))

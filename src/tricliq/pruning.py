@@ -15,12 +15,20 @@ removed triangle one bucket down.  Every edge list is scanned once, so a
 trace costs O(T + m) bucket and list steps plus the sorting of each
 iteration's minimum edges and removals, where T is the triangle count.
 
+The peel runs on the columns of a ``TriangleStore`` and handles each
+triangle by its position: the per-edge lists are built from the three
+edge-id columns zipped, a removal decrements the edges it reads off them,
+and no ``Triangle`` is built.  ``full_trace`` peels a graph's whole store;
+extraction peels each level's store of the triangles inside H, which costs
+nothing in proportion to the graph's triangle count.
+
 Records keep only what each iteration decided: MIN, MAX, the minimum edges
 and the removed triangles.  An iteration's surviving ids and weight vector
-follow from the removals before it; they are rebuilt when read, so a caller
-pays for them only when it asks.  The per-edge triangle lists outlive the
-peel: they are kept for extraction, which reads a seed edge's surviving
-triangles off its list in time proportional to the edge's weight, not T.
+follow from the removals before it; they are rebuilt when read, by passes
+over the columns, so a caller pays for them only when it asks.  The
+per-edge triangle lists outlive the peel: they are kept for extraction,
+which reads a seed edge's surviving triangles off its list in time
+proportional to the edge's weight, not T.
 
 The JSON log has one weight vector per record, O(records * m) numbers.
 ``Trace.to_json_obj`` builds it as one object, which the bench's export
@@ -32,13 +40,14 @@ changed, and ``tricliq trace --json`` streams through it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import chain, compress, count, repeat
+from operator import le
 from typing import Callable, Iterator, Sequence
 
 from .graph import Graph, GraphError
-from .triangles import Triangle, edge_weight_vector, enumerate_triangles
+from .triangles import Triangle, TriangleStore, enumerate_triangles
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_EARLY_STOP = "early-stop"
@@ -51,33 +60,38 @@ class EmptyTraceError(GraphError):
 class _Removals:
     """Which iteration removed each triangle, shared by a trace's records.
 
-    ``at[k]`` is the index of the iteration that removed ``triangles[k]``;
-    the triangles alive at the start of iteration ``i`` are those with
-    ``at >= i``.  ``through[e]`` lists the positions of the triangles on
-    edge ``e`` in ascending order.
+    ``at[k]`` is the index of the iteration that removed the triangle at
+    position ``k`` of ``store``; the triangles alive at the start of
+    iteration ``i`` are those with ``at >= i``.  ``through[e]`` lists the
+    positions of the triangles on edge ``e``.
     """
 
-    __slots__ = ("graph", "triangles", "at", "through")
+    __slots__ = ("graph", "store", "at", "through")
 
-    def __init__(self, graph: Graph, triangles: tuple[Triangle, ...],
-                 at: list[int], through: dict[int, list[int]]):
+    def __init__(self, graph: Graph, store: TriangleStore, at: list[int],
+                 through: dict[int, list[int]]):
         self.graph = graph
-        self.triangles = triangles
+        self.store = store
         self.at = at
         self.through = through
 
-    def _alive(self, index: int):
-        return (t for t, i in zip(self.triangles, self.at) if i >= index)
+    def _alive(self, index: int) -> Iterator[bool]:
+        return map(le, repeat(index), self.at)
 
     def surviving(self, index: int) -> tuple[int, ...]:
-        return tuple(t.id for t in self._alive(index))
+        return tuple(compress(self.store.ids, self._alive(index)))
 
     def weights(self, index: int) -> tuple[int, ...]:
-        return edge_weight_vector(self.graph, self._alive(index))
+        alive = list(self._alive(index))
+        s = self.store
+        counts = Counter(chain(compress(s.e1, alive), compress(s.e2, alive),
+                               compress(s.e3, alive)))
+        return tuple(map(counts.get, range(1, self.graph.m + 1), repeat(0)))
 
-    def surviving_through(self, index: int, edge: int) -> list[Triangle]:
-        at, triangles = self.at, self.triangles
-        return [triangles[k] for k in self.through.get(edge, ()) if at[k] >= index]
+    def alive_on(self, index: int, edge: int) -> list[int]:
+        """The positions of the triangles alive on ``edge``."""
+        ks = self.through.get(edge, ())
+        return list(compress(ks, map(le, repeat(index), map(self.at.__getitem__, ks))))
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,8 @@ class IterationRecord:
     ``removed`` is the subset of ``surviving`` touching a minimum-weight
     edge; the next iteration's surviving set is ``surviving`` minus
     ``removed``.  ``surviving`` and ``weights`` (counted over ``surviving``)
-    are not stored: each read rebuilds them in O(T + m).
+    are not stored: each read rebuilds them from the store's columns in
+    O(T + m).
     """
 
     index: int
@@ -105,10 +120,17 @@ class IterationRecord:
     def weights(self) -> tuple[int, ...]:
         return self._removals.weights(self.index)
 
-    def surviving_through(self, edge: int) -> list[Triangle]:
-        """The surviving triangles on ``edge``, in ascending id order, read
-        off the edge's list in time proportional to its starting weight."""
-        return self._removals.surviving_through(self.index, edge)
+
+def _main_index(records: Sequence[IterationRecord], mode: str) -> int | None:
+    """``Trace.main_index`` of the records of one trace."""
+    if not records:
+        return None
+    if mode == MODE_EARLY_STOP:
+        last = records[-1]
+        if last.min_weight == last.max_weight and last.min_weight > 0:
+            return last.index
+    best = max(records, key=lambda r: (r.min_weight, -r.index))
+    return best.index
 
 
 @dataclass(frozen=True)
@@ -118,7 +140,7 @@ class Trace:
 
     records: tuple[IterationRecord, ...]
     mode: str
-    triangles: tuple[Triangle, ...] = field(repr=False)
+    triangles: TriangleStore = field(repr=False)
 
     @property
     def main_index(self) -> int | None:
@@ -127,14 +149,7 @@ class Trace:
         Under early-stop mode a trace that ended at a MIN=MAX iteration
         uses that final iteration, mirroring the stop-on-equality runs.
         """
-        if not self.records:
-            return None
-        if self.mode == MODE_EARLY_STOP:
-            last = self.records[-1]
-            if last.min_weight == last.max_weight and last.min_weight > 0:
-                return last.index
-        best = max(self.records, key=lambda r: (r.min_weight, -r.index))
-        return best.index
+        return _main_index(self.records, self.mode)
 
     def main_iteration(self) -> IterationRecord:
         idx = self.main_index
@@ -146,14 +161,15 @@ class Trace:
         return [(r.min_weight, r.max_weight) for r in self.records]
 
     def triangle_by_id(self, tid: int) -> Triangle:
-        i = bisect_left(self.triangles, tid, key=attrgetter("id"))
-        if i == len(self.triangles) or self.triangles[i].id != tid:
+        ids = self.triangles.ids
+        i = bisect_left(ids, tid)
+        if i == len(ids) or ids[i] != tid:
             raise GraphError(f"triangle {tid} is not in this trace")
         return self.triangles[i]
 
     def _walk(self) -> Iterator[tuple[IterationRecord, list[int], list[int]]]:
-        """Each record with the 0-based weight list at its start and the
-        positions changed since the previous record.
+        """Each record with the weight list at its start, indexed by edge id
+        (entry 0 unused), and the edge ids changed since the previous record.
 
         One count list serves every record: after a record is yielded, the
         edges of its removed triangles are decremented in place, so a caller
@@ -161,14 +177,21 @@ class Trace:
         """
         if not self.records:
             return
-        counts = list(self.records[0].weights)
-        edges_of = {t.id: t.edges for t in self.triangles}
+        removals = self.records[0]._removals
+        removed_by: list[list[int]] = [[] for _ in self.records]
+        for k, i in enumerate(removals.at):
+            removed_by[i].append(k)
+        counts = [0] * (removals.graph.m + 1)
+        for e, ks in removals.through.items():
+            counts[e] = len(ks)
+        s = removals.store
         changed: list[int] = []
-        for r in self.records:
+        for r, ks in zip(self.records, removed_by):
             yield r, counts, changed
-            changed = [e - 1 for t in r.removed for e in edges_of[t]]
-            for i in changed:
-                counts[i] -= 1
+            changed = [*map(s.e1.__getitem__, ks), *map(s.e2.__getitem__, ks),
+                       *map(s.e3.__getitem__, ks)]
+            for e in changed:
+                counts[e] -= 1
 
     def to_json_obj(self) -> list[dict]:
         """One object per record, with a copy of its weight vector.
@@ -183,7 +206,7 @@ class Trace:
             "max": r.max_weight,
             "min_edges": list(r.min_edges),
             "removed_ids": list(r.removed),
-            "weights": list(counts),
+            "weights": counts[1:],
         } for r, counts, _ in self._walk()]
 
     def write_json(self, write: Callable[[str], object]) -> None:
@@ -200,13 +223,13 @@ class Trace:
         for r, counts, changed in self._walk():
             if not tokens:
                 tokens = list(map(str, counts))
-            for i in changed:
-                tokens[i] = str(counts[i])
+            for e in changed:
+                tokens[e] = str(counts[e])
             write(f'{sep}{{"i": {r.index}, "min": {r.min_weight}, '
                   f'"max": {r.max_weight}, '
                   f'"min_edges": [{", ".join(map(str, r.min_edges))}], '
                   f'"removed_ids": [{", ".join(map(str, r.removed))}], '
-                  f'"weights": [{", ".join(tokens)}]}}')
+                  f'"weights": [{", ".join(tokens[1:])}]}}')
             sep = ", "
         write("[]" if sep == "[" else "]")
 
@@ -224,39 +247,45 @@ def full_trace(
     record the same iterations, because a MIN=MAX iteration removes every
     surviving triangle.
 
-    The loop is the bucket-queue peel described in the module docstring:
-    the minimum pointer falls back when a decrement lands below it, and the
-    maximum pointer only moves down.  ``triangles`` defaults to all of
-    ``g``'s; a caller may pass any of them in ascending id order, such as
+    The loop is the bucket-queue peel described in the module docstring.
+    ``triangles`` defaults to all of ``g``'s; a caller may pass a
+    ``TriangleStore`` of them, or any of them in ascending id order, such as
     those inside a vertex subset, and the records name them by their ids.
     A triangle naming an edge id outside ``1..g.m`` raises ``GraphError``.
     """
     if mode not in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
         raise GraphError(f"unknown trace mode {mode!r}")
-    if triangles is None:
-        triangles = enumerate_triangles(g)
-    triangles = tuple(triangles)
-    bound = g.n * (g.n - 1) * (g.n - 2) // 6
+    store = (enumerate_triangles(g) if triangles is None
+             else TriangleStore.of(g, triangles))
+    return Trace(records=_peel(g, store), mode=mode, triangles=store)
 
-    # triangles are handled by position k in ``triangles`` and reported by id
+
+def _peel(g: Graph, store: TriangleStore) -> tuple[IterationRecord, ...]:
+    """The records of the trace of ``store``, whose edge ids lie in 1..m.
+
+    The minimum pointer falls back when a decrement lands below it, and the
+    maximum pointer only moves down.  Extraction calls this directly for
+    each level's store.
+    """
+    bound = g.n * (g.n - 1) * (g.n - 2) // 6
+    e1, e2, e3 = store.e1, store.e2, store.e3
     through: defaultdict[int, list[int]] = defaultdict(list)
-    for k, t in enumerate(triangles):
-        for e in t.edges:
-            through[e].append(k)
+    for k, a, b, c in zip(count(), e1, e2, e3):
+        through[a].append(k)
+        through[b].append(k)
+        through[c].append(k)
     weight = [0] * (g.m + 1)
     buckets: list[set[int]] = [set() for _ in range(
         max(map(len, through.values()), default=0) + 1)]
     for e, ks in through.items():
-        if not 1 <= e <= g.m:
-            raise GraphError(f"triangle {triangles[ks[0]].id} references edge "
-                             f"{e} outside 1..{g.m}")
         weight[e] = len(ks)
         buckets[len(ks)].add(e)
     lo, hi = 1, len(buckets) - 1
 
-    removed_at = [-1] * len(triangles)
-    removals = _Removals(g, triangles, removed_at, through)
-    alive = len(triangles)
+    ids = store.ids
+    at = [-1] * len(store)
+    removals = _Removals(g, store, at, through)
+    alive = len(store)
     records: list[IterationRecord] = []
     while alive:
         while not buckets[lo]:
@@ -269,14 +298,14 @@ def full_trace(
         removed = []
         for e in min_edges:
             for k in through[e]:
-                if removed_at[k] < 0:
-                    removed_at[k] = index
+                if at[k] < 0:
+                    at[k] = index
                     removed.append(k)
         if not removed:
             raise RuntimeError("pruning removed nothing; invariant violated")
         removed.sort()
         for k in removed:
-            for e in triangles[k].edges:
+            for e in (e1[k], e2[k], e3[k]):
                 w = weight[e]
                 buckets[w].remove(e)
                 w -= 1
@@ -291,10 +320,10 @@ def full_trace(
             min_weight=min_weight,
             max_weight=hi,
             min_edges=tuple(min_edges),
-            removed=tuple(triangles[k].id for k in removed),
+            removed=tuple(map(ids.__getitem__, removed)),
             _removals=removals,
         ))
         if len(records) > bound:
             raise RuntimeError(
                 f"trace exceeded its iteration bound {bound}; pruning is stuck")
-    return Trace(records=tuple(records), mode=mode, triangles=triangles)
+    return tuple(records)

@@ -1,19 +1,26 @@
 """Triangle (3-cycle) enumeration and triangle-count weight vectors.
 
-A triangle is stored both ways the reference tables write it: as the three
+A triangle is reported the way the reference tables write it: as the three
 edge ids and as the three vertex ids, in a named tuple with its 1-based id.
 A weight vector is a plain tuple of counts, one per edge or per vertex:
-``counts[i]`` is the weight of label ``i + 1``.  Triangles are listed by
-intersecting the neighbour sets of each edge's endpoints, each kept as one
-int key that encodes its vertex triple, and the keys are sorted as plain
-ints: enumeration order is ascending lexicographic on the sorted vertex
-triple, whatever the edge order, which makes triangle ids stable and
-reproducible.
+``counts[i]`` is the weight of label ``i + 1``.
+
+Triangles are listed by intersecting, for each edge, the higher neighbours
+of its endpoints, taken in ascending vertex order: enumeration order is
+ascending lexicographic on the sorted vertex triple, whatever the edge
+order, which makes triangle ids stable and reproducible.  The listing is
+held as flat columns, a ``TriangleStore``: the ids, the three vertex
+columns and the three edge-id columns, all in that canonical order.  Each
+edge's run of triangles extends the columns by ``map`` and ``repeat``
+passes, and the pruning trace and the extraction read the columns by
+position.  A ``Triangle`` is built only when a caller indexes or iterates
+the store.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
 
@@ -26,33 +33,111 @@ class Triangle(NamedTuple):
     edges: tuple[int, int, int]
 
 
-def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
+class TriangleStore:
+    """Triangles as flat columns in canonical vertex-triple order.
+
+    Position ``k`` is one triangle: ``ids[k]`` is its id, ``us[k] < vs[k] <
+    ws[k]`` its vertices, and ``e1[k]``, ``e2[k]``, ``e3[k]`` its edge ids
+    in no particular order.  ``us`` is non-decreasing, so the triangles
+    whose lowest vertex is ``u`` form one run of positions, found by
+    bisection.  A listing's ids are ``range(1, T + 1)``; a store made from
+    a caller's subset keeps the caller's ids.
+
+    ``store[k]``, slicing, iteration and ``len`` behave as on a tuple of
+    ``Triangle``s, each built on demand with its edges sorted.
+    """
+
+    __slots__ = ("ids", "us", "vs", "ws", "e1", "e2", "e3")
+
+    def __init__(self, ids: Sequence[int], us: Sequence[int], vs: Sequence[int],
+                 ws: Sequence[int], e1: Sequence[int], e2: Sequence[int],
+                 e3: Sequence[int]):
+        self.ids = ids
+        self.us, self.vs, self.ws = us, vs, ws
+        self.e1, self.e2, self.e3 = e1, e2, e3
+
+    @classmethod
+    def of(cls, g: Graph, triangles: Iterable[Triangle]) -> TriangleStore:
+        """``triangles`` as a store whose edge ids all lie in ``1..g.m``.
+
+        A store is used as it is; any other iterable of ``Triangle``s is
+        turned into columns in one pass, under its own ids.  A triangle
+        naming an edge outside ``1..g.m`` raises ``GraphError``.
+        """
+        if isinstance(triangles, cls):
+            store = triangles
+        else:
+            columns = tuple(zip(*triangles))
+            if not columns:
+                return cls((), (), (), (), (), (), ())
+            ids, vertices, edges = columns
+            store = cls(ids, *zip(*vertices), *zip(*edges))
+        cols = (store.e1, store.e2, store.e3)
+        if store and (min(map(min, cols)) < 1 or max(map(max, cols)) > g.m):
+            for t in store:
+                for e in t.edges:
+                    if not 1 <= e <= g.m:
+                        raise GraphError(f"triangle {t.id} references edge "
+                                         f"{e} outside 1..{g.m}")
+        return store
+
+    def take(self, ks: Sequence[int]) -> TriangleStore:
+        """The triangles at the ascending positions ``ks``, as a store of
+        their own under the same ids."""
+        return TriangleStore(*(list(map(col.__getitem__, ks)) for col in (
+            self.ids, self.us, self.vs, self.ws, self.e1, self.e2, self.e3)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        return Triangle(self.ids[k], (self.us[k], self.vs[k], self.ws[k]),
+                        tuple(sorted((self.e1[k], self.e2[k], self.e3[k]))))
+
+    def __iter__(self) -> Iterator[Triangle]:
+        return map(Triangle, self.ids, zip(self.us, self.vs, self.ws),
+                   map(tuple, map(sorted, zip(self.e1, self.e2, self.e3))))
+
+
+def enumerate_triangles(g: Graph) -> TriangleStore:
     """All 3-cliques of ``g``, each once, ascending by vertex triple.
 
-    For each edge (u,v) with u < v the common neighbours w > v are read off
-    the intersection of the two neighbour sets, so every triangle is produced
-    exactly once at its lowest edge, in O(sum over edges of min(deg u, deg v))
-    set work (Chiba & Nishizeki 1985).  Each triple is kept as the one int
-    ``(u·N + v)·N + w`` with ``N = n + 1``, so the canonical order is a plain
-    int sort; the triples and their edge ids are decoded afterwards.
+    Each vertex u gets a dict from its higher neighbours to the ids of the
+    edges to them.  For u ascending and each higher neighbour v ascending,
+    the keys the two dicts share are the vertices w > v closing a triangle
+    (u, v, w), so every triangle is produced exactly once, at its lowest
+    edge, already in canonical order, in O(sum over edges of min(deg u,
+    deg v)) set work (Chiba & Nishizeki 1985).  The sorted run of such w
+    extends all six columns at once: the edge ids of (u, w) and (v, w) are
+    read off the two dicts by ``map``, with no lookup keyed by vertex pair.
     """
-    adj = g._adj
-    eid = g._eid
-    base = g.n + 1
-    keys = []
-    for u, v in eid:
-        common = adj[u] & adj[v]
-        if common:
-            uv = (u * base + v) * base
-            keys.extend([uv + w for w in common if w > v])
-    keys.sort()
-    out = []
-    for i, key in enumerate(keys, start=1):
-        uv, w = divmod(key, base)
-        u, v = divmod(uv, base)
-        out.append(Triangle(i, (u, v, w),
-                            tuple(sorted((eid[u, v], eid[u, w], eid[v, w])))))
-    return tuple(out)
+    up: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    for (u, v), e in g._eid.items():
+        up[u][v] = e
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[int] = []
+    e1: list[int] = []
+    e2: list[int] = []
+    e3: list[int] = []
+    for u, above_u in enumerate(up):
+        if len(above_u) < 2:
+            continue
+        for v in sorted(above_u):
+            above_v = up[v]
+            common = above_u.keys() & above_v.keys()
+            if common:
+                run = sorted(common)
+                k = len(run)
+                us += repeat(u, k)
+                vs += repeat(v, k)
+                ws += run
+                e1 += repeat(above_u[v], k)
+                e2 += map(above_u.__getitem__, run)
+                e3 += map(above_v.__getitem__, run)
+    return TriangleStore(range(1, len(us) + 1), us, vs, ws, e1, e2, e3)
 
 
 def min_max(counts: Sequence[int]) -> tuple[int, int]:

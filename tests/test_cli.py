@@ -239,6 +239,26 @@ def test_exit_code_budget_exceeded(capsys, g3_path):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--budget", "-1"),
+    ("oracle", "--method", "maghout", "--budget", "-1"),
+    ("validate", "--budget", "-1"),
+    ("validate", "--maghout-budget", "-5"),
+], ids=["oracle", "oracle-maghout", "validate", "validate-maghout"])
+def test_negative_budget_is_an_argument_error(capsys, g3_path, argv):
+    command, *options = argv
+    code, out, err = run(capsys, command, g3_path, *options)
+    assert code == 1
+    assert out == ""
+    assert "must be at least 0" in err and "budget exceeded" not in err
+
+
+def test_zero_budget_is_exceeded_at_once(capsys, g3_path):
+    code, _, err = run(capsys, "oracle", g3_path, "--budget", "0")
+    assert code == 2
+    assert "budget exceeded" in err
+
+
 def test_exit_code_out_of_memory(capsys, monkeypatch, g3_path):
     import tricliq.cli as cli
 

@@ -258,8 +258,27 @@ def assert_seed_local_reads_match_scans(g, triangles, level, trace):
         for edge in record.min_edges:
             h = extraction._seed_subgraph(record, edge)
             assert h == subgraph_for_edge(g, record.surviving, edge, triangles)
-            assert extraction._inside(level, h) == \
+            assert tuple(level.take(extraction._inside(level, h))) == \
                 tuple(t for t in level if h.issuperset(t.vertices))
+
+
+def subgraph_or_error(g, triangle_ids, edge, triangles):
+    try:
+        return subgraph_for_edge(g, triangle_ids, edge, triangles)
+    except NoTrianglesThroughEdgeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 14), st.sampled_from([0.3, 0.6, 0.8]), st.integers(0, 10**6))
+def test_subgraph_for_edge_reads_a_store_as_its_tuple(n, p, seed):
+    g = shuffled(gnp(n, p, seed), random.Random(seed))
+    store = enumerate_triangles(g)
+    as_tuple = tuple(store)
+    for record in full_trace(g, triangles=store).records:
+        for edge in range(1, g.m + 1):
+            assert subgraph_or_error(g, record.surviving, edge, store) == \
+                subgraph_or_error(g, record.surviving, edge, as_tuple)
 
 
 @settings(max_examples=100, deadline=None)
@@ -274,8 +293,8 @@ def test_seed_local_reads_match_whole_store_scans(n, p, seed, shuffle):
     assert_seed_local_reads_match_scans(g, triangles, triangles, trace)
     # a deeper level: positions in its trace differ from triangle ids
     for record in trace.records:
-        level = extraction._inside(
-            triangles, extraction._seed_subgraph(record, record.min_edges[0]))
+        level = triangles.take(extraction._inside(
+            triangles, extraction._seed_subgraph(record, record.min_edges[0])))
         sub = full_trace(g, triangles=level)
         assert_seed_local_reads_match_scans(g, triangles, level, sub)
 

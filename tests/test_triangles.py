@@ -17,7 +17,8 @@ from tricliq import (
     vertex_weight_vector,
 )
 
-from conftest import gnp
+from conftest import corpus_graph, gnp
+from triangles_reference import reference_triangles
 
 
 class TestEnumeration:
@@ -41,7 +42,7 @@ class TestEnumeration:
             assert len(enumerate_triangles(fx.graph)) == count, fx.name
 
     def test_triangle_free_graph(self):
-        assert enumerate_triangles(moon_moser(2)) == ()
+        assert len(enumerate_triangles(moon_moser(2))) == 0
 
     def test_ids_are_positional(self, g3):
         tris = enumerate_triangles(g3.graph)
@@ -57,7 +58,7 @@ class TestEnumeration:
         tracemalloc.start()
         try:
             g = Graph(20000, [(v, v % 20000 + 1) for v in range(1, 20001)])
-            assert enumerate_triangles(g) == ()
+            assert len(enumerate_triangles(g)) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -229,3 +230,44 @@ def test_internal_edge_membership_in_cliques(g3):
     for u, v in combinations(clique, 2):
         e = g.edge_id(u, v)
         assert sum(e in t.edges for t in tris) == len(clique) - 2
+
+
+def assert_store_matches_reference(g):
+    """``store[k]``, slices, iteration and ``len`` of the columnar listing
+    equal the tuple-building reference's."""
+    store = enumerate_triangles(g)
+    want = reference_triangles(g)
+    assert len(store) == len(want)
+    assert tuple(store) == want
+    assert tuple(store[k] for k in range(len(want))) == want
+    assert tuple(store[k] for k in range(-len(want), 0)) == want
+    assert store[:] == want and store[1::2] == want[1::2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10**6))
+def test_store_matches_tuple_reference_on_shuffled_edges(n, p, seed):
+    rng = random.Random(seed)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in gnp(n, p, seed).edges]
+    rng.shuffle(pairs)
+    assert_store_matches_reference(Graph(n, pairs))
+
+
+def test_store_matches_tuple_reference_on_the_corpus_slice():
+    for i in range(0, 1000, 10):
+        assert_store_matches_reference(corpus_graph(i))
+
+
+def test_listing_a_dense_graph_builds_no_tuple_per_triangle():
+    # 162530 triangles: one Triangle tuple each peaks at about 44 MiB, flat
+    # columns at about 8 MiB
+    g = gnp(200, 0.5, 1)
+    tracemalloc.start()
+    try:
+        store = enumerate_triangles(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 162530
+    assert peak <= 20 << 20

@@ -1,0 +1,34 @@
+"""Tuple-building triangle listing: the reference the columnar store is held to.
+
+For each edge (u,v) with u < v, the common neighbours w > v are read off the
+intersection of the two neighbour sets, each triple is kept as the one int
+``(u·N + v)·N + w`` with ``N = n + 1``, the keys are sorted as plain ints,
+and each key is decoded into one ``Triangle`` with its sorted edge triple.
+It shares nothing with ``enumerate_triangles`` but the graph's adjacency
+and edge-id lookup.
+"""
+
+from __future__ import annotations
+
+from tricliq import Graph, Triangle
+
+
+def reference_triangles(g: Graph) -> tuple[Triangle, ...]:
+    """All triangles of ``g``, ascending by vertex triple, ids from 1."""
+    adj = g._adj
+    eid = g._eid
+    base = g.n + 1
+    keys = []
+    for u, v in eid:
+        common = adj[u] & adj[v]
+        if common:
+            uv = (u * base + v) * base
+            keys.extend([uv + w for w in common if w > v])
+    keys.sort()
+    out = []
+    for i, key in enumerate(keys, start=1):
+        uv, w = divmod(key, base)
+        u, v = divmod(uv, base)
+        out.append(Triangle(i, (u, v, w),
+                            tuple(sorted((eid[u, v], eid[u, w], eid[v, w])))))
+    return tuple(out)
