@@ -102,12 +102,11 @@ def cmd_trace(args) -> int:
         trace.write_json(sys.stdout.write)
         sys.stdout.write("\n")
         return 0
+    print("i  MIN  MAX  surviving  min_edges")
     if not trace.records:
-        print("i  MIN  MAX  surviving  min_edges")
         print("warning: graph has no triangles; nothing to trace",
               file=sys.stderr)
         return 0
-    print("i  MIN  MAX  surviving  min_edges")
     alive = len(trace.triangles)
     for r in trace.records:
         edges = ",".join(map(str, r.min_edges))

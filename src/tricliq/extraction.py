@@ -31,7 +31,8 @@ from operator import and_
 from typing import Sequence
 
 from .graph import Graph, GraphError, is_clique
-from .pruning import MODE_EXHAUSTIVE, IterationRecord, _main_index, _peel
+from .pruning import (MODE_EXHAUSTIVE, IterationRecord, _check_mode,
+                      _main_index, _peel)
 from .triangles import Triangle, TriangleStore, enumerate_triangles
 
 
@@ -202,6 +203,7 @@ def extract_max_clique(
     enumeration.  On a triangle-free graph the result degrades to the first
     edge, or the first vertex, flagged ``degenerate``.
     """
+    _check_mode(mode)
     store = (enumerate_triangles(g) if triangles is None
              else TriangleStore.of(g, triangles))
     if not store:
@@ -239,6 +241,7 @@ def cliques_per_min_edge(g: Graph, mode: str = MODE_EXHAUSTIVE) -> PerEdgeClique
     resolving the choice silently; ``distinct`` holds the deduplicated
     vertex sets in canonical order.
     """
+    _check_mode(mode)
     store = enumerate_triangles(g)
     if not store:
         return PerEdgeCliques(by_edge={}, distinct=())

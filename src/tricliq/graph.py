@@ -5,15 +5,18 @@ this package report vertices and edges by these labels, so graphs built from
 published tables keep the table's numbering.
 
 A graph holds one adjacency form, a frozenset of neighbours per vertex, plus
-the dict from endpoint pair to edge id, so its memory grows with n + m.
+one edge index: per vertex u, a dict from each higher neighbour v to the id
+of edge (u, v).  That index is the only place a vertex pair is turned into
+an edge id; triangle listing reads it as it is, since Chiba and Nishizeki's
+listing walks exactly these higher neighbours.  Memory grows with n + m.
 Layers that work on bitsets (the exact oracles) build their own over the
 vertices they search.
 
 The constructor reads the pairs once, in the order given: it checks each
-pair, numbers it and adds it to both adjacency lists, and stops at the first
-pair it rejects.  ``check_nonseparable`` is the linear-time lowpoint DFS of
-Hopcroft and Tarjan ("Efficient algorithms for graph manipulation", CACM
-1973).
+pair, numbers it, enters it in the edge index and adds it to both adjacency
+lists, and stops at the first pair it rejects.  ``check_nonseparable`` is
+the linear-time lowpoint DFS of Hopcroft and Tarjan ("Efficient algorithms
+for graph manipulation", CACM 1973).
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ class Graph:
     """Undirected simple graph on vertices ``1..n``.
 
     Immutable after construction.  ``edges[j-1]`` holds the endpoints of
-    edge ``j`` as an ordered pair ``(u, v)`` with ``u < v``.
+    edge ``j`` as an ordered pair ``(u, v)`` with ``u < v``, and
+    ``_up[u][v]`` is ``j``: ``_up`` is the edge index, one dict per vertex
+    from its higher neighbours to edge ids (``_up[0]`` is empty).
 
     ``pairs`` may be any iterable, a one-shot iterator included; it is read
     once.  Each pair is checked as it is read: both endpoints in ``1..n``
@@ -70,12 +75,13 @@ class Graph:
     its 0-based index.
     """
 
-    __slots__ = ("n", "m", "edges", "_eid", "_adj")
+    __slots__ = ("n", "m", "edges", "_up", "_adj")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 1:
             raise VertexRangeError(f"vertex count must be positive, got {n}")
-        eid: dict[tuple[int, int], int] = {}
+        edges: list[tuple[int, int]] = []
+        up: list[dict[int, int]] = [{} for _ in range(n + 1)]
         adj: list[list[int]] = [[] for _ in range(n + 1)]
         for i, (u, v) in enumerate(pairs):
             if not (1 <= u <= n and 1 <= v <= n):
@@ -85,8 +91,10 @@ class Graph:
             else:
                 if u > v:
                     u, v = v, u
-                if (u, v) not in eid:
-                    eid[u, v] = i + 1
+                above_u = up[u]
+                if v not in above_u:
+                    edges.append((u, v))
+                    above_u[v] = i + 1
                     adj[u].append(v)
                     adj[v].append(u)
                     continue
@@ -95,9 +103,9 @@ class Graph:
             raise exc
 
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", len(eid))
-        object.__setattr__(self, "edges", tuple(eid))
-        object.__setattr__(self, "_eid", eid)
+        object.__setattr__(self, "m", len(edges))
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_up", tuple(up))
         object.__setattr__(self, "_adj", tuple(map(frozenset, adj)))
 
     def __setattr__(self, name, value):
@@ -131,15 +139,17 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in self._eid
+        # the range check keeps a label below 1 from indexing ``_up`` from
+        # its end
+        return 1 <= u <= self.n and v in self._up[u]
 
     def edge_id(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u
-        try:
-            return self._eid[(u, v)]
-        except KeyError:
-            raise GraphError(f"({u},{v}) is not an edge") from None
+        e = self._up[u].get(v) if 1 <= u <= self.n else None
+        if e is None:
+            raise GraphError(f"({u},{v}) is not an edge")
+        return e
 
     def endpoints(self, e: int) -> tuple[int, int]:
         self._check_edge(e)
@@ -157,11 +167,12 @@ class Graph:
 
     def complement(self) -> "Graph":
         """Graph on the same vertices whose edges are exactly the missing pairs."""
+        up = self._up
         pairs = [
             (u, v)
             for u in range(1, self.n + 1)
             for v in range(u + 1, self.n + 1)
-            if not self.has_edge(u, v)
+            if v not in up[u]
         ]
         return Graph(self.n, pairs)
 

@@ -135,14 +135,8 @@ def maghout_cliques(g: Graph, clause_budget: int = 30) -> tuple[frozenset[int], 
     """
     if g.n * (g.n - 1) // 2 - g.m > clause_budget:
         raise BudgetExceededError("Maghout expansion clauses", clause_budget)
-    clauses = [
-        (u, v)
-        for u in range(1, g.n + 1)
-        for v in range(u + 1, g.n + 1)
-        if not g.has_edge(u, v)
-    ]
     terms = [0]
-    for u, v in clauses:
+    for u, v in g.complement().edges:
         bu, bv = 1 << u, 1 << v
         # terms is an antichain of minimal terms.  A term meeting {u, v}
         # stays minimal; a split term t|u can only be absorbed by a kept term

@@ -121,6 +121,12 @@ class IterationRecord:
         return self._removals.weights(self.index)
 
 
+def _check_mode(mode: str) -> None:
+    """Raise ``GraphError`` unless ``mode`` names one of the two trace modes."""
+    if mode not in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
+        raise GraphError(f"unknown trace mode {mode!r}")
+
+
 def _main_index(records: Sequence[IterationRecord], mode: str) -> int | None:
     """``Trace.main_index`` of the records of one trace."""
     if not records:
@@ -253,8 +259,7 @@ def full_trace(
     those inside a vertex subset, and the records name them by their ids.
     A triangle naming an edge id outside ``1..g.m`` raises ``GraphError``.
     """
-    if mode not in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
-        raise GraphError(f"unknown trace mode {mode!r}")
+    _check_mode(mode)
     store = (enumerate_triangles(g) if triangles is None
              else TriangleStore.of(g, triangles))
     return Trace(records=_peel(g, store), mode=mode, triangles=store)

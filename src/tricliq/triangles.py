@@ -104,18 +104,17 @@ class TriangleStore:
 def enumerate_triangles(g: Graph) -> TriangleStore:
     """All 3-cliques of ``g``, each once, ascending by vertex triple.
 
-    Each vertex u gets a dict from its higher neighbours to the ids of the
-    edges to them.  For u ascending and each higher neighbour v ascending,
-    the keys the two dicts share are the vertices w > v closing a triangle
-    (u, v, w), so every triangle is produced exactly once, at its lowest
-    edge, already in canonical order, in O(sum over edges of min(deg u,
-    deg v)) set work (Chiba & Nishizeki 1985).  The sorted run of such w
-    extends all six columns at once: the edge ids of (u, w) and (v, w) are
-    read off the two dicts by ``map``, with no lookup keyed by vertex pair.
+    The graph's edge index gives each vertex u a dict from its higher
+    neighbours to the ids of the edges to them; the listing reads it as it
+    is and builds no index of its own.  For u ascending and each higher
+    neighbour v ascending, the keys the two dicts share are the vertices
+    w > v closing a triangle (u, v, w), so every triangle is produced
+    exactly once, at its lowest edge, already in canonical order, in
+    O(sum over edges of min(deg u, deg v)) set work (Chiba & Nishizeki
+    1985).  The sorted run of such w extends all six columns at once: the
+    edge ids of (u, w) and (v, w) are read off the two dicts by ``map``.
     """
-    up: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
-    for (u, v), e in g._eid.items():
-        up[u][v] = e
+    up = g._up
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []

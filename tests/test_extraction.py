@@ -33,6 +33,15 @@ from extraction_reference import (
 MODES = (MODE_EXHAUSTIVE, MODE_EARLY_STOP)
 
 
+@pytest.mark.parametrize("run", (full_trace, extract_max_clique,
+                                 cliques_per_min_edge))
+@pytest.mark.parametrize("g", (complete(5), Graph(3, [(1, 2), (2, 3)])),
+                         ids=("K5", "triangle-free"))
+def test_unknown_mode_is_rejected_by_every_entry_point(run, g):
+    with pytest.raises(GraphError, match="unknown trace mode 'bogus'"):
+        run(g, mode="bogus")
+
+
 class TestSubgraphForEdge:
     def test_g1_main_iteration_edge_4(self, g1):
         g = g1.graph

@@ -100,11 +100,13 @@ def test_construction_matches_first_rejected_reference(case):
     g = Graph(n, iter(pairs))
     edges = tuple((min(u, v), max(u, v)) for u, v in pairs)
     assert g.m == len(edges) and g.edges == edges
-    assert g._eid == {e: j for j, e in enumerate(edges, 1)}
+    up = [{} for _ in range(n + 1)]
     adj = [set() for _ in range(n + 1)]
-    for u, v in edges:
+    for j, (u, v) in enumerate(edges, 1):
+        up[u][v] = j
         adj[u].add(v)
         adj[v].add(u)
+    assert g._up == tuple(up)
     assert g._adj == tuple(map(frozenset, adj))
 
 
@@ -230,6 +232,27 @@ def small_graphs(draw, max_n=9):
 @given(small_graphs())
 def test_nonseparability_matches_deletion_reference(g):
     assert check_nonseparable(g) == reference_nonseparable(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_pair_queries_match_the_edge_list_on_and_off_the_graph(g, rng):
+    # labels from -(n+1) up: a negative label must not index the edge index
+    # from its end, where -2 would read vertex n-1's higher neighbours
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    g = Graph(g.n, edges)
+    eid = {e: j for j, e in enumerate(edges, 1)}
+    labels = range(-g.n - 1, g.n + 3)
+    for u in labels:
+        for v in labels:
+            e = eid.get((min(u, v), max(u, v)))
+            assert g.has_edge(u, v) == (e is not None)
+            if e is None:
+                with pytest.raises(GraphError):
+                    g.edge_id(u, v)
+            else:
+                assert g.edge_id(u, v) == e
 
 
 class TestIsClique:
