@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .extraction import cliques_per_min_edge, extract_max_clique
 from .generators import complete, complete_multipartite, moon_moser
@@ -230,7 +231,11 @@ def cmd_validate(args) -> int:
     return 2 if budget_hit else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    parsing leaves it unchanged, so calls of ``main`` in one process reuse
+    it."""
     parser = argparse.ArgumentParser(
         prog="tricliq",
         description="Triangle-weight clique heuristic, exact oracles, "

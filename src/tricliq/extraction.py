@@ -9,31 +9,26 @@ That re-application is a loop over the caller's one ``TriangleStore``.
 The triangles of the subgraph induced by H are exactly the graph's
 triangles inside H, so each level keeps the previous level's triangles
 inside H as a store of their own, under their original ids and edge ids,
-traces it, and takes the next seed from that trace's main iteration.  H
-shrinks at every level, and the level whose H is complete holds the
-clique's witness triangles.
+traces it with ``full_trace``, and takes the next seed from that trace's
+main iteration.  H shrinks at every level, and the level whose H is
+complete holds the clique's witness triangles.
 
-A level costs what its seed touches, not the triangle count.  H is read
-off the vertex columns at the positions on the seed's per-edge list, kept
-by the trace.  Every level's store is in canonical vertex-triple order, so
-the triangles whose lowest vertex is u form one run of positions, found by
-bisecting the lowest-vertex column; only the runs of H's vertices are read,
-and their other two vertex columns are filtered by ``map`` passes.  No
-``Triangle`` is built.
+This module only orchestrates; each step it takes is owned elsewhere.  The
+trace and H (``IterationRecord.vertices_on``, read off the seed's per-edge
+list) belong to ``pruning``; the store's order and the triangles inside H
+(``TriangleStore.inside``, which reads only the runs of H's vertices)
+belong to ``triangles``.  A level therefore costs what its seed touches,
+not the triangle count.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import and_
 from typing import Sequence
 
 from .graph import Graph, GraphError, is_clique
-from .pruning import (MODE_EXHAUSTIVE, IterationRecord, _check_mode,
-                      _main_index, _peel)
-from .triangles import Triangle, TriangleStore, enumerate_triangles
+from .pruning import MODE_EXHAUSTIVE, IterationRecord, full_trace
+from .triangles import TriangleStore
 
 
 class NoTrianglesThroughEdgeError(GraphError):
@@ -83,17 +78,21 @@ def subgraph_for_edge(
     g: Graph,
     triangle_ids: Sequence[int],
     edge: int,
-    triangles: Sequence[Triangle],
+    triangles: TriangleStore,
 ) -> frozenset[int]:
     """H: the union of the vertex triples of the listed triangles through ``edge``.
 
-    ``triangles`` must be ``enumerate_triangles(g)``, or a tuple of its
-    triangles, so that triangle ``c`` sits at position ``c - 1``.  This
-    scans every listed id; extraction reads H off the seed's per-edge list
+    ``triangles`` must be the whole listing ``enumerate_triangles(g)``, a
+    ``TriangleStore`` in ascending id order whose triangle ``c`` sits at
+    position ``c - 1``; any other value raises ``GraphError``.  This scans
+    every listed id; extraction reads H off the seed's per-edge list
     instead.
     """
     g._check_edge(edge)
     store = TriangleStore.of(g, triangles)
+    if store.ids and (store.ids[0], store.ids[-1]) != (1, len(store)):
+        raise GraphError("subgraph_for_edge needs the whole listing, "
+                         "with ids 1..T")
     us, vs, ws = store.us, store.vs, store.ws
     e1, e2, e3 = store.e1, store.e2, store.e3
     h: set[int] = set()
@@ -107,67 +106,30 @@ def subgraph_for_edge(
     return frozenset(h)
 
 
-def _seed_subgraph(record: IterationRecord, edge: int) -> frozenset[int]:
-    """H for ``edge``: the vertices of ``record``'s surviving triangles on it,
-    read off the edge's per-edge list in time proportional to its weight."""
-    store = record._removals.store
-    ks = record._removals.alive_on(record.index, edge)
-    return frozenset(chain(map(store.us.__getitem__, ks),
-                           map(store.vs.__getitem__, ks),
-                           map(store.ws.__getitem__, ks)))
-
-
-def _inside(store: TriangleStore, h: frozenset[int]) -> list[int]:
-    """The positions in ``store`` of the triangles whose vertices all lie in ``h``.
-
-    The triangles whose lowest vertex is ``u`` form one run of positions,
-    found by two bisections of the ``us`` column; only the runs of the
-    vertices of ``h`` are read, and each is filtered on the other two vertex
-    columns.  The two largest vertices of ``h`` cannot be the lowest vertex
-    of a triangle inside it.
-    """
-    us, vs, ws = store.us, store.vs, store.ws
-    in_h = h.__contains__
-    inside: list[int] = []
-    hi = 0
-    for u in sorted(h)[:-2]:
-        lo = bisect_left(us, u, hi)
-        hi = bisect_left(us, u + 1, lo)
-        inside.extend(compress(range(lo, hi), map(
-            and_, map(in_h, vs[lo:hi]), map(in_h, ws[lo:hi]))))
-    return inside
-
-
-def _main_record(g: Graph, store: TriangleStore, mode: str) -> IterationRecord:
-    """The main iteration of the trace of ``store``."""
-    records = _peel(g, store)
-    return records[_main_index(records, mode)]
-
-
 def _grow(
     g: Graph,
-    store: TriangleStore,
+    level: TriangleStore,
     record: IterationRecord,
     edge: int,
     mode: str,
 ) -> CliqueResult:
     """Grow a clique from ``edge``, a minimum edge of ``record``, the main
-    iteration of the trace of ``store``.
+    iteration of the trace of ``level``.
 
-    Each level is a store of the previous level's triangles that lie inside
-    H, under their ids in ``store``, so they are exactly the triangles of
-    the subgraph induced by H.  The final level is the witnesses.
+    Each next level is a store of the previous level's triangles that lie
+    inside H, under their ids in ``level``, so they are exactly the
+    triangles of the subgraph induced by H.  The final level is the
+    witnesses.
     """
     seeds = [edge]
-    level = store
     n = g.n
     while True:
-        h = _seed_subgraph(record, edge)
-        level = level.take(_inside(level, h))
+        h = record.vertices_on(edge)
+        level = level.inside(h)
         if is_clique(g, h):
             return CliqueResult(
                 vertices=h,
-                witness_triangles=tuple(level.ids),
+                witness_triangles=tuple(t.id for t in level),
                 seed_edges=tuple(seeds),
                 is_verified_clique=True,
                 recursion_depth=len(seeds) - 1,
@@ -181,7 +143,7 @@ def _grow(
                 f"extraction from edge {edge} kept all {n} vertices of a "
                 "non-complete subgraph; invariant violated")
         n = len(h)
-        record = _main_record(g, level, mode)
+        record = full_trace(g, mode, level).main_iteration()
         # the subgraph induced by H numbers its edges in endpoint-pair
         # order, so its lowest minimum edge has the smallest pair
         edge = min(record.min_edges, key=g.endpoints)
@@ -192,21 +154,20 @@ def extract_max_clique(
     g: Graph,
     mode: str = MODE_EXHAUSTIVE,
     seed_edge: int | None = None,
-    triangles: Sequence[Triangle] | None = None,
+    triangles: TriangleStore | None = None,
 ) -> CliqueResult:
     """Run the full pipeline: trace, main iteration, seed edge, subgraph, repeat.
 
     The seed edge defaults to the lowest-numbered edge attaining the minimum
     weight; pass ``seed_edge`` to reproduce a specific published choice (it
-    must attain the minimum).  ``triangles``, when given, must be
-    ``enumerate_triangles(g)``; a caller that already holds them saves the
-    enumeration.  On a triangle-free graph the result degrades to the first
-    edge, or the first vertex, flagged ``degenerate``.
+    must attain the minimum).  ``triangles``, when given, goes to
+    ``full_trace``: a ``TriangleStore`` in ascending id order, such as
+    ``enumerate_triangles(g)`` (a caller that holds it saves listing again)
+    or a ``take`` of it.  On a triangle-free graph the result degrades to
+    the first edge, or the first vertex, flagged ``degenerate``.
     """
-    _check_mode(mode)
-    store = (enumerate_triangles(g) if triangles is None
-             else TriangleStore.of(g, triangles))
-    if not store:
+    trace = full_trace(g, mode, triangles)
+    if not trace.records:
         vertices = frozenset(g.endpoints(1) if g.m else (1,))
         return CliqueResult(
             vertices=vertices,
@@ -216,14 +177,14 @@ def extract_max_clique(
             recursion_depth=0,
             degenerate=True,
         )
-    record = _main_record(g, store, mode)
+    record = trace.main_iteration()
     if seed_edge is None:
         seed_edge = record.min_edges[0]
     elif seed_edge not in record.min_edges:
         raise GraphError(
             f"seed edge {seed_edge} does not attain the minimum weight "
             f"{record.min_weight} in the main iteration")
-    return _grow(g, store, record, seed_edge, mode)
+    return _grow(g, trace.triangles, record, seed_edge, mode)
 
 
 @dataclass(frozen=True)
@@ -241,12 +202,11 @@ def cliques_per_min_edge(g: Graph, mode: str = MODE_EXHAUSTIVE) -> PerEdgeClique
     resolving the choice silently; ``distinct`` holds the deduplicated
     vertex sets in canonical order.
     """
-    _check_mode(mode)
-    store = enumerate_triangles(g)
-    if not store:
+    trace = full_trace(g, mode)
+    if not trace.records:
         return PerEdgeCliques(by_edge={}, distinct=())
-    record = _main_record(g, store, mode)
-    by_edge = {edge: _grow(g, store, record, edge, mode)
+    record = trace.main_iteration()
+    by_edge = {edge: _grow(g, trace.triangles, record, edge, mode)
                for edge in record.min_edges}
     distinct = tuple(
         sorted({r.vertices for r in by_edge.values()}, key=lambda s: sorted(s))

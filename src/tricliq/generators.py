@@ -2,21 +2,34 @@
 
 All generators emit edges in lexicographic order of the endpoint pair
 (u-major, u < v).  That is the numbering the reference tables for these
-families use, so edge ids line up with published traces.
+families use, so edge ids line up with published traces.  The three
+families are complete multipartite graphs: K_n has n parts of size 1 and
+the Moon-Moser graph k parts of size 3, so one pair rule builds them all.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 from .graph import Graph, GraphError
+
+
+def _multipartite(parts: Sequence[int]) -> Graph:
+    """Parts numbered consecutively; each vertex u is joined to every vertex
+    after the last one of its own part, so pairs come out lexicographic."""
+    ends = [end for end, size in zip(accumulate(parts), parts)
+            for _ in range(size)]
+    n = len(ends)
+    return Graph(n, [(u, v) for u, end in enumerate(ends, 1)
+                     for v in range(end + 1, n + 1)])
 
 
 def complete(n: int) -> Graph:
     """Complete graph on n >= 1 vertices; C(n,2) edges."""
     if n < 1:
         raise GraphError(f"complete graph needs n >= 1, got {n}")
-    return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+    return _multipartite([1] * n)
 
 
 def complete_multipartite(parts: Sequence[int]) -> Graph:
@@ -29,20 +42,7 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
         raise GraphError("complete multipartite graph needs at least 2 parts")
     if any(s < 1 for s in parts):
         raise GraphError("every part must have size >= 1")
-    part_of = {}
-    v = 1
-    for idx, size in enumerate(parts):
-        for _ in range(size):
-            part_of[v] = idx
-            v += 1
-    n = v - 1
-    pairs = [
-        (u, w)
-        for u in range(1, n + 1)
-        for w in range(u + 1, n + 1)
-        if part_of[u] != part_of[w]
-    ]
-    return Graph(n, pairs)
+    return _multipartite(parts)
 
 
 def moon_moser(k: int) -> Graph:
@@ -55,11 +55,4 @@ def moon_moser(k: int) -> Graph:
     """
     if k < 1:
         raise GraphError(f"moon_moser needs k >= 1, got {k}")
-    n = 3 * k
-    pairs = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if (u - 1) // 3 != (v - 1) // 3
-    ]
-    return Graph(n, pairs)
+    return _multipartite([3] * k)

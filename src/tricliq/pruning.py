@@ -18,17 +18,20 @@ iteration's minimum edges and removals, where T is the triangle count.
 The peel runs on the columns of a ``TriangleStore`` and handles each
 triangle by its position: the per-edge lists are built from the three
 edge-id columns zipped, a removal decrements the edges it reads off them,
-and no ``Triangle`` is built.  ``full_trace`` peels a graph's whole store;
-extraction peels each level's store of the triangles inside H, which costs
-nothing in proportion to the graph's triangle count.
+and no ``Triangle`` is built.  ``full_trace`` is the only way into the
+peel.  It peels a graph's whole store, or a store in canonical order that
+the caller passes; extraction passes each level's store of the triangles
+inside H, which costs in proportion to that store, not to the graph's
+triangle count.
 
 Records keep only what each iteration decided: MIN, MAX, the minimum edges
 and the removed triangles.  An iteration's surviving ids and weight vector
-follow from the removals before it; they are rebuilt when read, by passes
-over the columns, so a caller pays for them only when it asks.  The
-per-edge triangle lists outlive the peel: they are kept for extraction,
-which reads a seed edge's surviving triangles off its list in time
-proportional to the edge's weight, not T.
+follow from the removals before it; they are rebuilt when read, so a caller
+pays for them only when it asks.  Weights come from one decrement replay,
+which a record's ``weights`` and the JSON log both read.  The per-edge
+triangle lists outlive the peel: ``IterationRecord.vertices_on`` reads a
+seed edge's surviving triangles off its list in time proportional to the
+edge's weight, not T, and that is the candidate subgraph extraction grows.
 
 The JSON log has one weight vector per record, O(records * m) numbers.
 ``Trace.to_json_obj`` builds it as one object, which the bench's export
@@ -40,11 +43,11 @@ changed, and ``tricliq trace --json`` streams through it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import le
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .graph import Graph, GraphError
 from .triangles import Triangle, TriangleStore, enumerate_triangles
@@ -75,23 +78,32 @@ class _Removals:
         self.at = at
         self.through = through
 
-    def _alive(self, index: int) -> Iterator[bool]:
-        return map(le, repeat(index), self.at)
-
     def surviving(self, index: int) -> tuple[int, ...]:
-        return tuple(compress(self.store.ids, self._alive(index)))
+        return tuple(compress(self.store.ids, map(le, repeat(index), self.at)))
 
-    def weights(self, index: int) -> tuple[int, ...]:
-        alive = list(self._alive(index))
+    def replay(self) -> Iterator[tuple[list[int], list[int]]]:
+        """For each iteration in order, the weight list at its start, indexed
+        by edge id (entry 0 unused), and the edge ids changed since the
+        previous iteration.
+
+        One count list serves every iteration: after a pair is yielded, the
+        edges of that iteration's removed triangles are decremented in
+        place, so a caller reads the list before asking for the next pair.
+        """
+        removed_by: list[list[int]] = [[] for _ in range(max(self.at, default=-1) + 1)]
+        for k, i in enumerate(self.at):
+            removed_by[i].append(k)
+        counts = [0] * (self.graph.m + 1)
+        for e, ks in self.through.items():
+            counts[e] = len(ks)
         s = self.store
-        counts = Counter(chain(compress(s.e1, alive), compress(s.e2, alive),
-                               compress(s.e3, alive)))
-        return tuple(map(counts.get, range(1, self.graph.m + 1), repeat(0)))
-
-    def alive_on(self, index: int, edge: int) -> list[int]:
-        """The positions of the triangles alive on ``edge``."""
-        ks = self.through.get(edge, ())
-        return list(compress(ks, map(le, repeat(index), map(self.at.__getitem__, ks))))
+        changed: list[int] = []
+        for ks in removed_by:
+            yield counts, changed
+            changed = [*map(s.e1.__getitem__, ks), *map(s.e2.__getitem__, ks),
+                       *map(s.e3.__getitem__, ks)]
+            for e in changed:
+                counts[e] -= 1
 
 
 @dataclass(frozen=True)
@@ -102,7 +114,7 @@ class IterationRecord:
     edge; the next iteration's surviving set is ``surviving`` minus
     ``removed``.  ``surviving`` and ``weights`` (counted over ``surviving``)
     are not stored: each read rebuilds them from the store's columns in
-    O(T + m).
+    O(T + m), ``weights`` by the decrement replay the JSON log runs.
     """
 
     index: int
@@ -118,25 +130,19 @@ class IterationRecord:
 
     @property
     def weights(self) -> tuple[int, ...]:
-        return self._removals.weights(self.index)
+        counts, _ = next(islice(self._removals.replay(), self.index, None))
+        return tuple(counts[1:])
 
-
-def _check_mode(mode: str) -> None:
-    """Raise ``GraphError`` unless ``mode`` names one of the two trace modes."""
-    if mode not in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
-        raise GraphError(f"unknown trace mode {mode!r}")
-
-
-def _main_index(records: Sequence[IterationRecord], mode: str) -> int | None:
-    """``Trace.main_index`` of the records of one trace."""
-    if not records:
-        return None
-    if mode == MODE_EARLY_STOP:
-        last = records[-1]
-        if last.min_weight == last.max_weight and last.min_weight > 0:
-            return last.index
-    best = max(records, key=lambda r: (r.min_weight, -r.index))
-    return best.index
+    def vertices_on(self, edge: int) -> frozenset[int]:
+        """The vertices of the surviving triangles on ``edge``: the candidate
+        subgraph H of a seed at ``edge``.  They are read off the edge's
+        per-edge list in time proportional to its weight, not T."""
+        r = self._removals
+        ks = [k for k in r.through.get(edge, ()) if r.at[k] >= self.index]
+        s = r.store
+        return frozenset(chain(map(s.us.__getitem__, ks),
+                               map(s.vs.__getitem__, ks),
+                               map(s.ws.__getitem__, ks)))
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,14 @@ class Trace:
         Under early-stop mode a trace that ended at a MIN=MAX iteration
         uses that final iteration, mirroring the stop-on-equality runs.
         """
-        return _main_index(self.records, self.mode)
+        if not self.records:
+            return None
+        if self.mode == MODE_EARLY_STOP:
+            last = self.records[-1]
+            if last.min_weight == last.max_weight and last.min_weight > 0:
+                return last.index
+        best = max(self.records, key=lambda r: (r.min_weight, -r.index))
+        return best.index
 
     def main_iteration(self) -> IterationRecord:
         idx = self.main_index
@@ -173,31 +186,12 @@ class Trace:
             raise GraphError(f"triangle {tid} is not in this trace")
         return self.triangles[i]
 
-    def _walk(self) -> Iterator[tuple[IterationRecord, list[int], list[int]]]:
-        """Each record with the weight list at its start, indexed by edge id
-        (entry 0 unused), and the edge ids changed since the previous record.
-
-        One count list serves every record: after a record is yielded, the
-        edges of its removed triangles are decremented in place, so a caller
-        reads the list before asking for the next record.
-        """
-        if not self.records:
-            return
-        removals = self.records[0]._removals
-        removed_by: list[list[int]] = [[] for _ in self.records]
-        for k, i in enumerate(removals.at):
-            removed_by[i].append(k)
-        counts = [0] * (removals.graph.m + 1)
-        for e, ks in removals.through.items():
-            counts[e] = len(ks)
-        s = removals.store
-        changed: list[int] = []
-        for r, ks in zip(self.records, removed_by):
-            yield r, counts, changed
-            changed = [*map(s.e1.__getitem__, ks), *map(s.e2.__getitem__, ks),
-                       *map(s.e3.__getitem__, ks)]
-            for e in changed:
-                counts[e] -= 1
+    def _walk(self) -> Iterator[tuple[IterationRecord, tuple[list[int], list[int]]]]:
+        """Each record paired with what ``_Removals.replay`` yields for it:
+        the weight list at its start, read before the next pair is asked
+        for, and the edge ids changed since the previous record."""
+        replay = self.records[0]._removals.replay() if self.records else ()
+        return zip(self.records, replay)
 
     def to_json_obj(self) -> list[dict]:
         """One object per record, with a copy of its weight vector.
@@ -213,7 +207,7 @@ class Trace:
             "min_edges": list(r.min_edges),
             "removed_ids": list(r.removed),
             "weights": counts[1:],
-        } for r, counts, _ in self._walk()]
+        } for r, (counts, _) in self._walk()]
 
     def write_json(self, write: Callable[[str], object]) -> None:
         """Write ``json.dumps(self.to_json_obj())`` through ``write``: one
@@ -226,7 +220,7 @@ class Trace:
         """
         sep = "["
         tokens: list[str] = []
-        for r, counts, changed in self._walk():
+        for r, (counts, changed) in self._walk():
             if not tokens:
                 tokens = list(map(str, counts))
             for e in changed:
@@ -243,7 +237,7 @@ class Trace:
 def full_trace(
     g: Graph,
     mode: str = MODE_EXHAUSTIVE,
-    triangles: Sequence[Triangle] | None = None,
+    triangles: TriangleStore | None = None,
 ) -> Trace:
     """Iterate from the full triangle set until exhaustion and record each step.
 
@@ -254,12 +248,15 @@ def full_trace(
     surviving triangle.
 
     The loop is the bucket-queue peel described in the module docstring.
-    ``triangles`` defaults to all of ``g``'s; a caller may pass a
-    ``TriangleStore`` of them, or any of them in ascending id order, such as
-    those inside a vertex subset, and the records name them by their ids.
-    A triangle naming an edge id outside ``1..g.m`` raises ``GraphError``.
+    ``triangles`` defaults to all of ``g``'s.  A caller may pass a
+    ``TriangleStore`` in ascending id order instead, such as
+    ``enumerate_triangles(g)`` or a ``take`` of it (the triangles inside a
+    vertex subset, say), and the records name the triangles by their ids.
+    ``TriangleStore.of`` rejects any other value with ``GraphError``, and
+    so a triangle naming an edge id outside ``1..g.m``.
     """
-    _check_mode(mode)
+    if mode not in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
+        raise GraphError(f"unknown trace mode {mode!r}")
     store = (enumerate_triangles(g) if triangles is None
              else TriangleStore.of(g, triangles))
     return Trace(records=_peel(g, store), mode=mode, triangles=store)
@@ -269,8 +266,7 @@ def _peel(g: Graph, store: TriangleStore) -> tuple[IterationRecord, ...]:
     """The records of the trace of ``store``, whose edge ids lie in 1..m.
 
     The minimum pointer falls back when a decrement lands below it, and the
-    maximum pointer only moves down.  Extraction calls this directly for
-    each level's store.
+    maximum pointer only moves down.
     """
     bound = g.n * (g.n - 1) * (g.n - 2) // 6
     e1, e2, e3 = store.e1, store.e2, store.e3

@@ -12,14 +12,17 @@ order, which makes triangle ids stable and reproducible.  The listing is
 held as flat columns, a ``TriangleStore``: the ids, the three vertex
 columns and the three edge-id columns, all in that canonical order.  Each
 edge's run of triangles extends the columns by ``map`` and ``repeat``
-passes, and the pruning trace and the extraction read the columns by
-position.  A ``Triangle`` is built only when a caller indexes or iterates
-the store.
+passes, and the pruning trace reads the columns by position.  This module
+owns that order: ``TriangleStore.of`` admits only a store that keeps it,
+and ``TriangleStore.inside`` relies on it.  A ``Triangle`` is built only
+when a caller indexes or iterates the store.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from bisect import bisect_left
+from itertools import compress, islice, repeat
+from operator import and_, le, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
@@ -40,8 +43,8 @@ class TriangleStore:
     ws[k]`` its vertices, and ``e1[k]``, ``e2[k]``, ``e3[k]`` its edge ids
     in no particular order.  ``us`` is non-decreasing, so the triangles
     whose lowest vertex is ``u`` form one run of positions, found by
-    bisection.  A listing's ids are ``range(1, T + 1)``; a store made from
-    a caller's subset keeps the caller's ids.
+    bisection.  A listing's ids are ``range(1, T + 1)``; ``take`` and
+    ``inside`` keep the ids of the triangles they hold.
 
     ``store[k]``, slicing, iteration and ``len`` behave as on a tuple of
     ``Triangle``s, each built on demand with its edges sorted.
@@ -57,21 +60,25 @@ class TriangleStore:
         self.e1, self.e2, self.e3 = e1, e2, e3
 
     @classmethod
-    def of(cls, g: Graph, triangles: Iterable[Triangle]) -> TriangleStore:
-        """``triangles`` as a store whose edge ids all lie in ``1..g.m``.
+    def of(cls, g: Graph, store: TriangleStore) -> TriangleStore:
+        """``store`` checked as a store of ``g``'s triangles.
 
-        A store is used as it is; any other iterable of ``Triangle``s is
-        turned into columns in one pass, under its own ids.  A triangle
-        naming an edge outside ``1..g.m`` raises ``GraphError``.
+        The store must be in canonical order: ids strictly ascending and the
+        lowest-vertex column non-decreasing, as ``enumerate_triangles`` and
+        ``take`` at ascending positions leave it.  The trace names removals
+        in position order and finds ids by bisection, and ``inside`` bisects
+        the lowest-vertex column, so any other value, or a store out of
+        order, raises ``GraphError``; so does a triangle naming an edge
+        outside ``1..g.m``.
         """
-        if isinstance(triangles, cls):
-            store = triangles
-        else:
-            columns = tuple(zip(*triangles))
-            if not columns:
-                return cls((), (), (), (), (), (), ())
-            ids, vertices, edges = columns
-            store = cls(ids, *zip(*vertices), *zip(*edges))
+        if not isinstance(store, cls):
+            raise GraphError("triangles must be a TriangleStore, "
+                             f"not {type(store).__name__}")
+        ids, us = store.ids, store.us
+        if not all(map(lt, ids, islice(ids, 1, None))):
+            raise GraphError("triangle ids must strictly ascend")
+        if not all(map(le, us, islice(us, 1, None))):
+            raise GraphError("triangles' lowest vertices must not decrease")
         cols = (store.e1, store.e2, store.e3)
         if store and (min(map(min, cols)) < 1 or max(map(max, cols)) > g.m):
             for t in store:
@@ -86,6 +93,27 @@ class TriangleStore:
         their own under the same ids."""
         return TriangleStore(*(list(map(col.__getitem__, ks)) for col in (
             self.ids, self.us, self.vs, self.ws, self.e1, self.e2, self.e3)))
+
+    def inside(self, h: frozenset[int]) -> TriangleStore:
+        """The triangles whose vertices all lie in ``h``, as a store of their
+        own under the same ids.
+
+        The triangles whose lowest vertex is ``u`` form one run of positions,
+        found by two bisections of ``us``; only the runs of the vertices of
+        ``h`` are read, and each is filtered on the other two vertex columns.
+        The two largest vertices of ``h`` cannot be the lowest vertex of a
+        triangle inside it.
+        """
+        us, vs, ws = self.us, self.vs, self.ws
+        in_h = h.__contains__
+        ks: list[int] = []
+        hi = 0
+        for u in sorted(h)[:-2]:
+            lo = bisect_left(us, u, hi)
+            hi = bisect_left(us, u + 1, lo)
+            ks.extend(compress(range(lo, hi), map(
+                and_, map(in_h, vs[lo:hi]), map(in_h, ws[lo:hi]))))
+        return self.take(ks)
 
     def __len__(self) -> int:
         return len(self.ids)

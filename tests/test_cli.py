@@ -239,6 +239,19 @@ def test_exit_code_budget_exceeded(capsys, g3_path):
     assert "budget" in err
 
 
+def test_one_parser_serves_calls_without_leaking_options(capsys, g3_path):
+    from tricliq.cli import build_parser
+
+    assert build_parser() is build_parser()
+    code, out, err = run(capsys, "oracle", g3_path, "--budget", "5", "--json")
+    assert (code, out) == (2, "") and "budget" in err
+    code, out, _ = run(capsys, "oracle", g3_path, "--json")
+    assert code == 0 and json.loads(out)["omega"] == 5
+    assert run(capsys, "generate", "nonsense-family", "4")[0] == 1
+    code, out, _ = run(capsys, "oracle", g3_path, "--json")
+    assert code == 0 and json.loads(out)["omega"] == 5
+
+
 @pytest.mark.parametrize("argv", [
     ("oracle", "--budget", "-1"),
     ("oracle", "--method", "maghout", "--budget", "-1"),
@@ -291,7 +304,7 @@ def test_exit_code_recursion_too_deep(capsys, tmp_path):
 
 def test_validate_enumerates_triangles_once(capsys, monkeypatch, g3_path):
     import tricliq.cli as cli
-    import tricliq.extraction as extraction
+    import tricliq.pruning as pruning
 
     calls = []
 
@@ -300,7 +313,7 @@ def test_validate_enumerates_triangles_once(capsys, monkeypatch, g3_path):
         return enumerate_triangles(g)
 
     monkeypatch.setattr(cli, "enumerate_triangles", counted)
-    monkeypatch.setattr(extraction, "enumerate_triangles", counted)
+    monkeypatch.setattr(pruning, "enumerate_triangles", counted)
     code, out, _ = run(capsys, "validate", g3_path, "--json")
     assert code == 0
     assert json.loads(out)["triangles"] == 39

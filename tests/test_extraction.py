@@ -67,6 +67,14 @@ class TestSubgraphForEdge:
         assert sorted(h) == turan13.expected["e1_subgraph"]
         assert not is_clique(g, h)
 
+    def test_a_subset_of_the_listing_is_rejected(self):
+        # triangle c is read at position c - 1, which only the whole listing
+        # keeps
+        g = complete(4)
+        subset = enumerate_triangles(g).take([1, 2])
+        with pytest.raises(GraphError, match="whole listing"):
+            subgraph_for_edge(g, [2], 1, subset)
+
     def test_zero_weight_edge_rejected(self, g3):
         # edge 37 = (10,12) lies on no triangle
         g = g3.graph
@@ -243,7 +251,7 @@ def test_each_call_enumerates_triangles_once(monkeypatch, turan13):
         calls.append(g)
         return enumerate_triangles(g)
 
-    monkeypatch.setattr(extraction, "enumerate_triangles", counted)
+    monkeypatch.setattr(pruning, "enumerate_triangles", counted)
     assert extract_max_clique(turan13.graph).recursion_depth == 1
     assert len(calls) == 1
     results = cliques_per_min_edge(turan13.graph).by_edge.values()
@@ -265,29 +273,10 @@ def assert_seed_local_reads_match_scans(g, triangles, level, trace):
     record's survivors, and the slices inside H equal a scan of ``level``."""
     for record in trace.records:
         for edge in record.min_edges:
-            h = extraction._seed_subgraph(record, edge)
+            h = record.vertices_on(edge)
             assert h == subgraph_for_edge(g, record.surviving, edge, triangles)
-            assert tuple(level.take(extraction._inside(level, h))) == \
+            assert tuple(level.inside(h)) == \
                 tuple(t for t in level if h.issuperset(t.vertices))
-
-
-def subgraph_or_error(g, triangle_ids, edge, triangles):
-    try:
-        return subgraph_for_edge(g, triangle_ids, edge, triangles)
-    except NoTrianglesThroughEdgeError as exc:
-        return str(exc)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(3, 14), st.sampled_from([0.3, 0.6, 0.8]), st.integers(0, 10**6))
-def test_subgraph_for_edge_reads_a_store_as_its_tuple(n, p, seed):
-    g = shuffled(gnp(n, p, seed), random.Random(seed))
-    store = enumerate_triangles(g)
-    as_tuple = tuple(store)
-    for record in full_trace(g, triangles=store).records:
-        for edge in range(1, g.m + 1):
-            assert subgraph_or_error(g, record.surviving, edge, store) == \
-                subgraph_or_error(g, record.surviving, edge, as_tuple)
 
 
 @settings(max_examples=100, deadline=None)
@@ -302,8 +291,7 @@ def test_seed_local_reads_match_whole_store_scans(n, p, seed, shuffle):
     assert_seed_local_reads_match_scans(g, triangles, triangles, trace)
     # a deeper level: positions in its trace differ from triangle ids
     for record in trace.records:
-        level = triangles.take(extraction._inside(
-            triangles, extraction._seed_subgraph(record, record.min_edges[0])))
+        level = triangles.inside(record.vertices_on(record.min_edges[0]))
         sub = full_trace(g, triangles=level)
         assert_seed_local_reads_match_scans(g, triangles, level, sub)
 

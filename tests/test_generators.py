@@ -1,6 +1,6 @@
 import pytest
 
-from tricliq import GraphError, complete, complete_multipartite, moon_moser
+from tricliq import Graph, GraphError, complete, complete_multipartite, moon_moser
 
 
 def incident_edges(g, v):
@@ -32,6 +32,14 @@ def test_moon_moser_no_intra_triad_edges():
 def test_moon_moser_equals_all_threes_multipartite():
     for k in (2, 3, 4):
         assert moon_moser(k).edges == complete_multipartite([3] * k).edges
+    for n in range(2, 31):
+        assert complete(n).edges == complete_multipartite([1] * n).edges == tuple(
+            (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+
+
+def test_one_part_graphs_have_no_edges():
+    assert complete(1) == Graph(1, [])
+    assert moon_moser(1) == Graph(3, [])
 
 
 def test_multipartite_turan_13():

@@ -11,14 +11,15 @@ from tricliq import (
     GraphError,
     MODE_EARLY_STOP,
     MODE_EXHAUSTIVE,
-    Triangle,
     complete,
     edge_weight_vector,
     enumerate_triangles,
     extract_max_clique,
     full_trace,
     moon_moser,
+    subgraph_for_edge,
 )
+from tricliq.triangles import TriangleStore
 
 from conftest import corpus_graph, gnp
 from trace_reference import (
@@ -207,7 +208,7 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
     # K_5's triangles inside {2,3,4,5} form a K_4: one iteration at weight 2
     # removes all four, named by their ids in K_5 (7..10)
     g = complete(5)
-    inside = tuple(t for t in enumerate_triangles(g) if 1 not in t.vertices)
+    inside = enumerate_triangles(g).inside(frozenset({2, 3, 4, 5}))
     trace = full_trace(g, triangles=inside)
     assert trace.min_max_sequence() == [(2, 2)]
     record = trace.records[0]
@@ -224,16 +225,45 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
     # K_5's triangle 3 is (1,2,5), whose edge (2,5) is edge 7 of K_5
     (complete(4), enumerate_triangles(complete(5)),
      "triangle 3 references edge 7 outside 1..6"),
-    (complete(3), [Triangle(id=1, vertices=(1, 2, 3), edges=(0, 2, 3))],
+    # columns: ids, the three vertices, the three edge ids
+    (complete(3), TriangleStore([1], [1], [2], [3], [0], [2], [3]),
      "triangle 1 references edge 0 outside 1..3"),
-    (complete(4), enumerate_triangles(complete(4))[:1]
-     + (Triangle(id=2, vertices=(1, 2, 4), edges=(-1, 1, 3)),),
+    # K_4's triangle 1, then (1,2,4) naming edge -1
+    (complete(4), TriangleStore([1, 2], [1, 1], [2, 2], [3, 4],
+                                [1, -1], [2, 1], [4, 3]),
      "triangle 2 references edge -1 outside 1..6"),
 ], ids=["above-m", "zero", "negative"])
 def test_triangles_naming_edges_outside_the_graph_are_rejected(
         entry, g, triangles, message):
     with pytest.raises(GraphError) as err:
         entry(g, triangles=triangles)
+    assert str(err.value) == message
+
+
+ENTRY_POINTS = {
+    "full_trace": lambda g, triangles: full_trace(g, triangles=triangles),
+    "extract_max_clique":
+        lambda g, triangles: extract_max_clique(g, triangles=triangles),
+    "subgraph_for_edge":
+        lambda g, triangles: subgraph_for_edge(g, [1], 1, triangles),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("triangles,message", [
+    (tuple(enumerate_triangles(complete(4))),
+     "triangles must be a TriangleStore, not tuple"),
+    (enumerate_triangles(complete(4)).take([1, 0, 2, 3]),
+     "triangle ids must strictly ascend"),
+    # K_4's triangle (2,3,4) under id 1, then (1,2,3) under id 2
+    (TriangleStore([1, 2], [2, 1], [3, 2], [4, 3], [4, 1], [5, 2], [6, 4]),
+     "triangles' lowest vertices must not decrease"),
+], ids=["tuple", "non-ascending-take", "lowest-vertex-decreases"])
+def test_triangles_out_of_canonical_order_are_rejected(entry, triangles, message):
+    # the trace names removals in position order and bisects ids, and the
+    # extraction bisects the lowest vertices: any other order misleads both
+    with pytest.raises(GraphError) as err:
+        ENTRY_POINTS[entry](complete(4), triangles)
     assert str(err.value) == message
 
 
@@ -308,7 +338,7 @@ def test_streamed_json_of_a_triangle_free_graph_is_an_empty_list():
 def test_streamed_json_of_a_triangle_subset(n):
     # ids of a subset skip numbers and its weights leave edges at 0
     g = complete(n)
-    inside = tuple(t for t in enumerate_triangles(g) if 1 not in t.vertices)
+    inside = enumerate_triangles(g).inside(frozenset(range(2, n + 1)))
     trace = full_trace(g, triangles=inside)
     assert streamed(trace) == json.dumps(trace.to_json_obj())
 
