@@ -129,7 +129,7 @@ def _grow(
         if is_clique(g, h):
             return CliqueResult(
                 vertices=h,
-                witness_triangles=tuple(t.id for t in level),
+                witness_triangles=tuple(level.ids),
                 seed_edges=tuple(seeds),
                 is_verified_clique=True,
                 recursion_depth=len(seeds) - 1,
@@ -164,10 +164,15 @@ def extract_max_clique(
     ``full_trace``: a ``TriangleStore`` in ascending id order, such as
     ``enumerate_triangles(g)`` (a caller that holds it saves listing again)
     or a ``take`` of it.  On a triangle-free graph the result degrades to
-    the first edge, or the first vertex, flagged ``degenerate``.
+    the first edge, or the first vertex, flagged ``degenerate``; there is
+    no main iteration then, so no ``seed_edge`` attains its minimum.
     """
     trace = full_trace(g, mode, triangles)
     if not trace.records:
+        if seed_edge is not None:
+            raise GraphError(
+                f"seed edge {seed_edge} does not attain a minimum weight: "
+                "there are no triangles, so there is no main iteration")
         vertices = frozenset(g.endpoints(1) if g.m else (1,))
         return CliqueResult(
             vertices=vertices,

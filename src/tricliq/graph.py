@@ -4,19 +4,22 @@ Edge ``j`` is the j-th pair given at construction time.  All algorithms in
 this package report vertices and edges by these labels, so graphs built from
 published tables keep the table's numbering.
 
-A graph holds one adjacency form, a frozenset of neighbours per vertex, plus
-one edge index: per vertex u, a dict from each higher neighbour v to the id
+A graph holds its edge list and one index, its only adjacency
+representation: per vertex u, a dict from each higher neighbour v to the id
 of edge (u, v).  That index is the only place a vertex pair is turned into
 an edge id; triangle listing reads it as it is, since Chiba and Nishizeki's
-listing walks exactly these higher neighbours.  Memory grows with n + m.
-Layers that work on bitsets (the exact oracles) build their own over the
-vertices they search.
+listing walks exactly these higher neighbours, and ``has_edge``,
+``is_clique`` and ``complement`` read it too.  Memory grows with n + m.  A
+reader that walks every neighbour of every vertex (the nonseparability DFS,
+the exact oracles) asks ``Graph._neighbour_lists`` for lists built from the
+edge list in O(n + m) per call, and the oracles build their bitsets from
+those lists.
 
 The constructor reads the pairs once, in the order given: it checks each
-pair, numbers it, enters it in the edge index and adds it to both adjacency
-lists, and stops at the first pair it rejects.  ``check_nonseparable`` is
-the linear-time lowpoint DFS of Hopcroft and Tarjan ("Efficient algorithms
-for graph manipulation", CACM 1973).
+pair, numbers it and enters it in the edge index, and stops at the first
+pair it rejects.  ``check_nonseparable`` is the linear-time lowpoint DFS of
+Hopcroft and Tarjan ("Efficient algorithms for graph manipulation", CACM
+1973).
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ def ring_sum(sets: Iterable[Iterable[int]]) -> frozenset[int]:
 class Graph:
     """Undirected simple graph on vertices ``1..n``.
 
-    Immutable after construction.  ``edges[j-1]`` holds the endpoints of
+    Immutable after construction, and holding nothing but ``n``, ``m``, the
+    edge list and the edge index.  ``edges[j-1]`` holds the endpoints of
     edge ``j`` as an ordered pair ``(u, v)`` with ``u < v``, and
     ``_up[u][v]`` is ``j``: ``_up`` is the edge index, one dict per vertex
     from its higher neighbours to edge ids (``_up[0]`` is empty).
@@ -75,14 +79,13 @@ class Graph:
     its 0-based index.
     """
 
-    __slots__ = ("n", "m", "edges", "_up", "_adj")
+    __slots__ = ("n", "m", "edges", "_up")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 1:
             raise VertexRangeError(f"vertex count must be positive, got {n}")
         edges: list[tuple[int, int]] = []
         up: list[dict[int, int]] = [{} for _ in range(n + 1)]
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
         for i, (u, v) in enumerate(pairs):
             if not (1 <= u <= n and 1 <= v <= n):
                 exc: GraphError = VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
@@ -95,8 +98,6 @@ class Graph:
                 if v not in above_u:
                     edges.append((u, v))
                     above_u[v] = i + 1
-                    adj[u].append(v)
-                    adj[v].append(u)
                     continue
                 exc = DuplicateEdgeError(f"duplicate edge ({u},{v})")
             exc.position = i
@@ -106,7 +107,6 @@ class Graph:
         object.__setattr__(self, "m", len(edges))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_up", tuple(up))
-        object.__setattr__(self, "_adj", tuple(map(frozenset, adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -130,8 +130,16 @@ class Graph:
         return range(1, self.n + 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
+        """The neighbours of ``v``: its higher neighbours in the index, and
+        each lower vertex whose higher neighbours hold ``v``.
+
+        O(n) per call, since every lower vertex is looked up.  No library
+        path calls this or ``degree``; a reader of every vertex's neighbours
+        takes ``_neighbour_lists`` instead.
+        """
         self._check_vertex(v)
-        return self._adj[v]
+        up = self._up
+        return frozenset(up[v]).union(u for u in range(1, v) if v in up[u])
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -154,6 +162,16 @@ class Graph:
     def endpoints(self, e: int) -> tuple[int, int]:
         self._check_edge(e)
         return self.edges[e - 1]
+
+    def _neighbour_lists(self) -> list[list[int]]:
+        """Entry v lists the neighbours of v, in no particular order (entry
+        0 is empty).  Built from ``edges`` in O(n + m) on each call, for a
+        reader that walks every vertex's neighbours."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return nbrs
 
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
@@ -210,7 +228,7 @@ def check_nonseparable(g: Graph) -> NonseparabilityReport:
     # iterative DFS lowlink (Hopcroft & Tarjan 1973); one outer loop pass
     # per connected component.  A stack entry is (vertex, DFS parent or 0
     # at the root, iterator over the vertex's neighbours).
-    adj = g._adj
+    adj = g._neighbour_lists()
     disc = [0] * (n + 1)
     low = [0] * (n + 1)
     timer = 1
@@ -263,4 +281,8 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
         raise EmptyVertexSetError("clique test needs at least one vertex")
     for v in vs:
         g._check_vertex(v)
-    return all(g._adj[u].issuperset(vs[i + 1:]) for i, u in enumerate(vs))
+    # the vertices ascend, so each pair is looked up in the edge index
+    # dict of its lower vertex
+    up = g._up
+    return all(all(map(up[u].__contains__, vs[i + 1:]))
+               for i, u in enumerate(vs))

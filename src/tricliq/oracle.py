@@ -1,14 +1,15 @@
 """Two independent exact clique methods used to check the heuristic.
 
 ``max_clique_exact`` and ``enumerate_maximal_cliques`` are a bitset
-branch-and-bound and a pivoting Bron-Kerbosch enumeration.  Each call builds
-its own neighbour bitsets, one int per vertex: the branch-and-bound over
-positions in its (-degree, label) vertex order, Bron-Kerbosch over vertex
-labels.  ``maghout_cliques`` takes the entirely different Boolean route:
-expand the product of (u or v) clauses over the complement's edges, reduce
-to minimal terms by absorption, and read each maximal clique off as the
-complement of a minimal cover.  Agreement between the routes is part of
-the test contract, so none of them may be reimplemented in terms of another.
+branch-and-bound and a pivoting Bron-Kerbosch enumeration.  Each call asks
+the graph once for its neighbour lists and builds its own neighbour bitsets
+from them, one int per vertex: the branch-and-bound over positions in its
+(-degree, label) vertex order, Bron-Kerbosch over vertex labels.
+``maghout_cliques`` takes the entirely different Boolean route: expand the
+product of (u or v) clauses over the complement's edges, reduce to minimal
+terms by absorption, and read each maximal clique off as the complement of
+a minimal cover.  Agreement between the routes is part of the test
+contract, so none of them may be reimplemented in terms of another.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _neighbour_masks(g: Graph, position: Sequence[int]) -> list[int]:
+def _neighbour_masks(nbrs: Sequence[Sequence[int]],
+                     position: Sequence[int]) -> list[int]:
     """Neighbour bitsets over vertex positions: entry ``position[v]`` has bit
-    ``position[u]`` set for each neighbour u of v."""
-    masks = [0] * (g.n + 1)
-    for v in g.vertices():
-        masks[position[v]] = sum(1 << position[u] for u in g._adj[v])
+    ``position[u]`` set for each u in ``nbrs[v]``, the neighbours of v."""
+    masks = [0] * len(nbrs)
+    for v in range(1, len(nbrs)):
+        masks[position[v]] = sum(1 << position[u] for u in nbrs[v])
     return masks
 
 
@@ -59,11 +61,12 @@ def max_clique_exact(g: Graph, budget: int = 10_000_000) -> OracleResult:
     tried lowest bit first, and a branch is cut once the current clique plus
     every remaining candidate cannot beat the best clique found.
     """
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    neighbours = g._neighbour_lists()
+    order = sorted(g.vertices(), key=lambda v: (-len(neighbours[v]), v))
     position = [0] * (g.n + 1)
     for i, v in enumerate(order):
         position[v] = i
-    nbrs = _neighbour_masks(g, position)
+    nbrs = _neighbour_masks(neighbours, position)
     best: list[int] = []
     visited = 0
 
@@ -92,7 +95,7 @@ def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[froze
     Output is sorted by vertex tuple, so it is a canonical value independent
     of pivot choices.
     """
-    adj = _neighbour_masks(g, range(g.n + 1))
+    adj = _neighbour_masks(g._neighbour_lists(), range(g.n + 1))
     found: list[frozenset[int]] = []
     visited = 0
 

@@ -63,17 +63,22 @@ class TriangleStore:
     def of(cls, g: Graph, store: TriangleStore) -> TriangleStore:
         """``store`` checked as a store of ``g``'s triangles.
 
-        The store must be in canonical order: ids strictly ascending and the
-        lowest-vertex column non-decreasing, as ``enumerate_triangles`` and
-        ``take`` at ascending positions leave it.  The trace names removals
-        in position order and finds ids by bisection, and ``inside`` bisects
-        the lowest-vertex column, so any other value, or a store out of
-        order, raises ``GraphError``; so does a triangle naming an edge
-        outside ``1..g.m``.
+        The store's seven columns must be of one length, and it must be in
+        canonical order: ids strictly ascending and the lowest-vertex column
+        non-decreasing, as ``enumerate_triangles`` and ``take`` at ascending
+        positions leave it.  The trace names removals in position order and
+        finds ids by bisection, and ``inside`` bisects the lowest-vertex
+        column, so any other value, a store with a short column, or a store
+        out of order, raises ``GraphError``; so does a triangle naming an
+        edge outside ``1..g.m``.
         """
         if not isinstance(store, cls):
             raise GraphError("triangles must be a TriangleStore, "
                              f"not {type(store).__name__}")
+        lengths = [len(getattr(store, name)) for name in cls.__slots__]
+        if min(lengths) != max(lengths):
+            raise GraphError("triangle columns differ in length: " + ", ".join(
+                f"{name} {k}" for name, k in zip(cls.__slots__, lengths)))
         ids, us = store.ids, store.us
         if not all(map(lt, ids, islice(ids, 1, None))):
             raise GraphError("triangle ids must strictly ascend")

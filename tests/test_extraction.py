@@ -140,6 +140,19 @@ class TestExtraction:
         result = extract_max_clique(Graph(3, []))
         assert result.size == 1 and result.degenerate
 
+    def test_seed_on_a_triangle_free_graph_is_rejected(self):
+        # no triangles, no main iteration: no edge attains its minimum, an
+        # edge of the graph included; without a seed the result degrades
+        g = Graph(3, [(1, 2), (2, 3)])
+        for seed in (999, 1):
+            with pytest.raises(GraphError, match=f"^seed edge {seed} does "
+                               "not attain a minimum weight: there are no "
+                               "triangles, so there is no main iteration$"):
+                extract_max_clique(g, seed_edge=seed)
+        result = extract_max_clique(g, seed_edge=None)
+        assert result.degenerate and result.vertices == {1, 2}
+        assert result.seed_edges == ()
+
     def test_deterministic(self, g4):
         a = extract_max_clique(g4.graph)
         b = extract_max_clique(g4.graph)

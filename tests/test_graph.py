@@ -107,7 +107,7 @@ def test_construction_matches_first_rejected_reference(case):
         adj[u].add(v)
         adj[v].add(u)
     assert g._up == tuple(up)
-    assert g._adj == tuple(map(frozenset, adj))
+    assert [g.neighbors(v) for v in g.vertices()] == list(map(frozenset, adj[1:]))
 
 
 def test_building_from_a_generator_costs_little_transient_memory():
@@ -129,6 +129,21 @@ def test_building_from_a_generator_costs_little_transient_memory():
         tracemalloc.stop()
     assert g.m == 60000 and g.degree(1) == 10
     assert peak - retained <= 4 << 20
+
+
+def test_a_built_graph_keeps_its_edge_list_and_one_index():
+    # the edge list and the edge index of C_20000 take about 6.2 MiB; a
+    # neighbour frozenset per vertex beside them would take 10.5 MiB
+    n = 20000
+    pairs = [(v, v % n + 1) for v in range(1, n + 1)]
+    tracemalloc.start()
+    try:
+        g = Graph(n, pairs)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == n and g.neighbors(1) == {2, n}
+    assert retained <= 8 << 20
 
 
 class TestComplement:
@@ -269,6 +284,18 @@ class TestIsClique:
     def test_empty_rejected(self, g3):
         with pytest.raises(EmptyVertexSetError):
             is_clique(g3.graph, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([0.5, 0.8, 0.95]),
+       st.integers(0, 10**6), st.data())
+def test_is_clique_matches_a_pairwise_test_on_the_edge_list(n, p, seed, data):
+    # vertices in any order, repeats allowed; the pair set is built here
+    g = gnp(n, p, seed)
+    pairs = set(g.edges)
+    vertices = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=8))
+    expected = all(pq in pairs for pq in combinations(sorted(set(vertices)), 2))
+    assert is_clique(g, vertices) is expected
 
 
 @given(st.integers(2, 12), st.floats(0.1, 0.9), st.integers(0, 10**6))

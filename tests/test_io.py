@@ -138,7 +138,7 @@ def _outcome(parse, text):
         g = parse(text)
     except FormatError as exc:
         return "error", str(exc), exc.line
-    return "graph", g.n, g.edges, g._up, g._adj
+    return "graph", g.n, g.edges, g._up
 
 
 BAD_TOKENS = ["+3", "1_0", "\u0663", "\uff13", "-1", "x", "3.0", "0"]

@@ -240,6 +240,8 @@ def test_triangles_naming_edges_outside_the_graph_are_rejected(
     assert str(err.value) == message
 
 
+K4_LISTING = enumerate_triangles(complete(4))
+
 ENTRY_POINTS = {
     "full_trace": lambda g, triangles: full_trace(g, triangles=triangles),
     "extract_max_clique":
@@ -251,14 +253,25 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("triangles,message", [
-    (tuple(enumerate_triangles(complete(4))),
-     "triangles must be a TriangleStore, not tuple"),
-    (enumerate_triangles(complete(4)).take([1, 0, 2, 3]),
+    (tuple(K4_LISTING), "triangles must be a TriangleStore, not tuple"),
+    (K4_LISTING.take([1, 0, 2, 3]),
      "triangle ids must strictly ascend"),
     # K_4's triangle (2,3,4) under id 1, then (1,2,3) under id 2
     (TriangleStore([1, 2], [2, 1], [3, 2], [4, 3], [4, 1], [5, 2], [6, 4]),
      "triangles' lowest vertices must not decrease"),
-], ids=["tuple", "non-ascending-take", "lowest-vertex-decreases"])
+    # K_4's listing with its last second-edge id, or its last id, dropped
+    (TriangleStore(list(K4_LISTING.ids), K4_LISTING.us, K4_LISTING.vs,
+                   K4_LISTING.ws, K4_LISTING.e1, K4_LISTING.e2[:-1],
+                   K4_LISTING.e3),
+     "triangle columns differ in length: "
+     "ids 4, us 4, vs 4, ws 4, e1 4, e2 3, e3 4"),
+    (TriangleStore(list(K4_LISTING.ids)[:-1], K4_LISTING.us, K4_LISTING.vs,
+                   K4_LISTING.ws, K4_LISTING.e1, K4_LISTING.e2,
+                   K4_LISTING.e3),
+     "triangle columns differ in length: "
+     "ids 3, us 4, vs 4, ws 4, e1 4, e2 4, e3 4"),
+], ids=["tuple", "non-ascending-take", "lowest-vertex-decreases",
+        "short-edge-column", "short-id-column"])
 def test_triangles_out_of_canonical_order_are_rejected(entry, triangles, message):
     # the trace names removals in position order and bisects ids, and the
     # extraction bisects the lowest vertices: any other order misleads both

@@ -4,9 +4,9 @@ For each edge (u,v) with u < v, the common neighbours w > v are read off the
 intersection of the two neighbour sets, each triple is kept as the one int
 ``(u·N + v)·N + w`` with ``N = n + 1``, the keys are sorted as plain ints,
 and each key is decoded into one ``Triangle`` with its sorted edge triple.
-It shares nothing with ``enumerate_triangles`` but the graph's adjacency:
-its endpoint-pair to edge-id dict is built here from ``g.edges``, apart
-from the graph's own edge index.
+It shares nothing with ``enumerate_triangles`` but the edge list: its
+neighbour sets and its endpoint-pair to edge-id dict are built here from
+``g.edges``, apart from the graph's own edge index.
 """
 
 from __future__ import annotations
@@ -16,7 +16,10 @@ from tricliq import Graph, Triangle
 
 def reference_triangles(g: Graph) -> tuple[Triangle, ...]:
     """All triangles of ``g``, ascending by vertex triple, ids from 1."""
-    adj = g._adj
+    adj = [set() for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     eid = {e: j for j, e in enumerate(g.edges, 1)}
     base = g.n + 1
     keys = []
