@@ -84,19 +84,21 @@ def subgraph_for_edge(
 
     ``triangles`` must be the whole listing ``enumerate_triangles(g)``, a
     ``TriangleStore`` in ascending id order whose triangle ``c`` sits at
-    position ``c - 1``; any other value raises ``GraphError``.  This scans
-    every listed id; extraction reads H off the seed's per-edge list
-    instead.
+    position ``c - 1``; any other value, or a listed id outside ``1..T``,
+    raises ``GraphError``.  This scans every listed id; extraction reads H
+    off the seed's per-edge list instead.
     """
     g._check_edge(edge)
     store = TriangleStore.of(g, triangles)
-    if store.ids and (store.ids[0], store.ids[-1]) != (1, len(store)):
-        raise GraphError("subgraph_for_edge needs the whole listing, "
-                         "with ids 1..T")
+    t = len(store)
+    if store.ids and (store.ids[0], store.ids[-1]) != (1, t):
+        raise GraphError("subgraph_for_edge needs the whole listing, with ids 1..T")
     us, vs, ws = store.us, store.vs, store.ws
     e1, e2, e3 = store.e1, store.e2, store.e3
     h: set[int] = set()
     for c in triangle_ids:
+        if not 1 <= c <= t:
+            raise GraphError(f"triangle {c} is not in the listing 1..{t}")
         k = c - 1
         if edge in (e1[k], e2[k], e3[k]):
             h.update((us[k], vs[k], ws[k]))

@@ -252,8 +252,7 @@ def full_trace(
     ``TriangleStore`` in ascending id order instead, such as
     ``enumerate_triangles(g)`` or a ``take`` of it (the triangles inside a
     vertex subset, say), and the records name the triangles by their ids.
-    ``TriangleStore.of`` rejects any other value with ``GraphError``, and
-    so a triangle naming an edge id outside ``1..g.m``.
+    ``TriangleStore.of`` rejects any other value with ``GraphError``.
     """
     if mode not in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
         raise GraphError(f"unknown trace mode {mode!r}")

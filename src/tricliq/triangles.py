@@ -12,18 +12,19 @@ order, which makes triangle ids stable and reproducible.  The listing is
 held as flat columns, a ``TriangleStore``: the ids, the three vertex
 columns and the three edge-id columns, all in that canonical order.  Each
 edge's run of triangles extends the columns by ``map`` and ``repeat``
-passes, and the pruning trace reads the columns by position.  This module
-owns that order: ``TriangleStore.of`` admits only a store that keeps it,
-and ``TriangleStore.inside`` relies on it.  A ``Triangle`` is built only
-when a caller indexes or iterates the store.
+passes; the trace and the weight vectors read the columns by position.
+``TriangleStore.of`` is the one check of a store against a graph, and
+admits only that order, which ``TriangleStore.inside`` relies on.  A
+``Triangle`` is only an output view, built when a caller reads the store.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, islice, repeat
+from collections import Counter
+from itertools import chain, compress, islice, repeat
 from operator import and_, le, lt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
 
@@ -61,7 +62,7 @@ class TriangleStore:
 
     @classmethod
     def of(cls, g: Graph, store: TriangleStore) -> TriangleStore:
-        """``store`` checked as a store of ``g``'s triangles.
+        """``store`` checked as a store of ``g``'s triangles: the one triangle check.
 
         The store's seven columns must be of one length, and it must be in
         canonical order: ids strictly ascending and the lowest-vertex column
@@ -70,7 +71,8 @@ class TriangleStore:
         finds ids by bisection, and ``inside`` bisects the lowest-vertex
         column, so any other value, a store with a short column, or a store
         out of order, raises ``GraphError``; so does a triangle naming an
-        edge outside ``1..g.m``.
+        edge outside ``1..g.m``, then one whose vertices do not ascend or
+        lie outside ``1..g.n``.
         """
         if not isinstance(store, cls):
             raise GraphError("triangles must be a TriangleStore, "
@@ -79,18 +81,23 @@ class TriangleStore:
         if min(lengths) != max(lengths):
             raise GraphError("triangle columns differ in length: " + ", ".join(
                 f"{name} {k}" for name, k in zip(cls.__slots__, lengths)))
-        ids, us = store.ids, store.us
+        ids, us, vs, ws = store.ids, store.us, store.vs, store.ws
         if not all(map(lt, ids, islice(ids, 1, None))):
             raise GraphError("triangle ids must strictly ascend")
         if not all(map(le, us, islice(us, 1, None))):
             raise GraphError("triangles' lowest vertices must not decrease")
         cols = (store.e1, store.e2, store.e3)
         if store and (min(map(min, cols)) < 1 or max(map(max, cols)) > g.m):
-            for t in store:
-                for e in t.edges:
-                    if not 1 <= e <= g.m:
-                        raise GraphError(f"triangle {t.id} references edge "
-                                         f"{e} outside 1..{g.m}")
+            raise GraphError("triangle %d references edge %d outside 1..%d"
+                             % (*_first_outside(ids, cols, g.m), g.m))
+        if not (all(map(lt, us, vs)) and all(map(lt, vs, ws))):
+            tid, *t = next(r for r in zip(ids, us, vs, ws) if not r[1] < r[2] < r[3])
+            raise GraphError(f"triangle {tid}'s vertices {tuple(t)} do not ascend")
+        # with us non-decreasing and each triangle ascending, us[0] and
+        # max(ws) are the store's least and greatest vertices
+        if store and (us[0] < 1 or max(ws) > g.n):
+            raise GraphError("triangle %d references vertex %d outside 1..%d"
+                             % (*_first_outside(ids, (us, vs, ws), g.n), g.n))
         return store
 
     def take(self, ks: Sequence[int]) -> TriangleStore:
@@ -181,23 +188,23 @@ def min_max(counts: Sequence[int]) -> tuple[int, int]:
     return min(positive), max(positive)
 
 
-def edge_weight_vector(g: Graph, triangles: Iterable[Triangle]) -> tuple[int, ...]:
-    """counts[j-1] = number of given triangles that contain edge j."""
-    counts = [0] * g.m
-    for t in triangles:
-        for e in t.edges:
-            if not 1 <= e <= g.m:
-                raise GraphError(f"triangle {t.id} references edge {e} outside 1..{g.m}")
-            counts[e - 1] += 1
-    return tuple(counts)
+def edge_weight_vector(g: Graph, triangles: TriangleStore) -> tuple[int, ...]:
+    """counts[j-1] = number of the store's triangles that contain edge j."""
+    s = TriangleStore.of(g, triangles)
+    counts = Counter(chain(s.e1, s.e2, s.e3))
+    return tuple(map(counts.get, range(1, g.m + 1), repeat(0)))
 
 
-def vertex_weight_vector(g: Graph, triangles: Iterable[Triangle]) -> tuple[int, ...]:
-    """counts[v-1] = number of given triangles that contain vertex v."""
-    counts = [0] * g.n
-    for t in triangles:
-        for v in t.vertices:
-            if not 1 <= v <= g.n:
-                raise GraphError(f"triangle {t.id} references vertex {v} outside 1..{g.n}")
-            counts[v - 1] += 1
-    return tuple(counts)
+def vertex_weight_vector(g: Graph, triangles: TriangleStore) -> tuple[int, ...]:
+    """counts[v-1] = number of the store's triangles that contain vertex v."""
+    s = TriangleStore.of(g, triangles)
+    counts = Counter(chain(s.us, s.vs, s.ws))
+    return tuple(map(counts.get, range(1, g.n + 1), repeat(0)))
+
+
+def _first_outside(ids: Sequence[int], cols: tuple, hi: int) -> tuple[int, int]:
+    """(id, smallest bad value) of the first triangle with a value in ``cols``
+    outside ``1..hi``, scanning the columns row by row; there must be one."""
+    return next((tid, min(x for x in row if not 1 <= x <= hi))
+                for tid, *row in zip(ids, *cols)
+                if not all(1 <= x <= hi for x in row))

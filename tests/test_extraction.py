@@ -75,6 +75,20 @@ class TestSubgraphForEdge:
         with pytest.raises(GraphError, match="whole listing"):
             subgraph_for_edge(g, [2], 1, subset)
 
+    @pytest.mark.parametrize("ids,listing", [
+        ([0], complete(4)), ([-1], complete(4)), ([5], complete(4)),
+        ([1], Graph(3, [(1, 2), (2, 3)])),
+    ], ids=["zero", "negative", "above-T", "empty-store"])
+    def test_ids_outside_the_listing_are_rejected(self, ids, listing):
+        # triangle c is read at position c - 1: id 0 read K_4's last
+        # triangle and returned {2, 3, 4}, id -1 its third, and an id past
+        # the end raised IndexError
+        tris = enumerate_triangles(listing)
+        with pytest.raises(GraphError) as err:
+            subgraph_for_edge(listing, [1, *ids], 1, tris)
+        assert str(err.value) == (
+            f"triangle {ids[0]} is not in the listing 1..{len(tris)}")
+
     def test_zero_weight_edge_rejected(self, g3):
         # edge 37 = (10,12) lies on no triangle
         g = g3.graph

@@ -18,10 +18,12 @@ from tricliq import (
     full_trace,
     moon_moser,
     subgraph_for_edge,
+    vertex_weight_vector,
 )
 from tricliq.triangles import TriangleStore
 
 from conftest import corpus_graph, gnp
+from triangles_reference import reference_edge_weights
 from trace_reference import (
     EmptyIterationError,
     assert_matches_reference,
@@ -220,7 +222,8 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
         trace.triangle_by_id(1)
 
 
-@pytest.mark.parametrize("entry", [full_trace, extract_max_clique])
+@pytest.mark.parametrize("entry", [full_trace, extract_max_clique,
+                                   edge_weight_vector, vertex_weight_vector])
 @pytest.mark.parametrize("g,triangles,message", [
     # K_5's triangle 3 is (1,2,5), whose edge (2,5) is edge 7 of K_5
     (complete(4), enumerate_triangles(complete(5)),
@@ -232,7 +235,10 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
     (complete(4), TriangleStore([1, 2], [1, 1], [2, 2], [3, 4],
                                 [1, -1], [2, 1], [4, 3]),
      "triangle 2 references edge -1 outside 1..6"),
-], ids=["above-m", "zero", "negative"])
+    # two edges outside: the smaller is named, whatever its column
+    (complete(3), TriangleStore([1], [1], [2], [3], [7], [0], [3]),
+     "triangle 1 references edge 0 outside 1..3"),
+], ids=["above-m", "zero", "negative", "two-outside"])
 def test_triangles_naming_edges_outside_the_graph_are_rejected(
         entry, g, triangles, message):
     with pytest.raises(GraphError) as err:
@@ -248,6 +254,8 @@ ENTRY_POINTS = {
         lambda g, triangles: extract_max_clique(g, triangles=triangles),
     "subgraph_for_edge":
         lambda g, triangles: subgraph_for_edge(g, [1], 1, triangles),
+    "edge_weight_vector": edge_weight_vector,
+    "vertex_weight_vector": vertex_weight_vector,
 }
 
 
@@ -270,11 +278,31 @@ ENTRY_POINTS = {
                    K4_LISTING.e3),
      "triangle columns differ in length: "
      "ids 3, us 4, vs 4, ws 4, e1 4, e2 4, e3 4"),
+    # K_4's listing with its lowest and highest vertex columns swapped: the
+    # first column still never decreases, so only the per-triangle order
+    # shows it
+    (TriangleStore(K4_LISTING.ids, K4_LISTING.ws, K4_LISTING.vs,
+                   K4_LISTING.us, K4_LISTING.e1, K4_LISTING.e2,
+                   K4_LISTING.e3),
+     "triangle 1's vertices (3, 2, 1) do not ascend"),
+    # ... or its two higher vertex columns swapped
+    (TriangleStore(K4_LISTING.ids, K4_LISTING.us, K4_LISTING.ws,
+                   K4_LISTING.vs, K4_LISTING.e1, K4_LISTING.e2,
+                   K4_LISTING.e3),
+     "triangle 1's vertices (1, 3, 2) do not ascend"),
+    # K_4's edges 1, 2, 4 under the vertices (1, 2, 99), then (0, 2, 3)
+    (TriangleStore([1], [1], [2], [99], [1], [2], [4]),
+     "triangle 1 references vertex 99 outside 1..4"),
+    (TriangleStore([1], [0], [2], [3], [1], [2], [4]),
+     "triangle 1 references vertex 0 outside 1..4"),
 ], ids=["tuple", "non-ascending-take", "lowest-vertex-decreases",
-        "short-edge-column", "short-id-column"])
+        "short-edge-column", "short-id-column", "vertices-descend",
+        "higher-vertices-swapped", "vertex-above-n", "vertex-zero"])
 def test_triangles_out_of_canonical_order_are_rejected(entry, triangles, message):
     # the trace names removals in position order and bisects ids, and the
-    # extraction bisects the lowest vertices: any other order misleads both
+    # extraction bisects the lowest vertices: any other order misleads both;
+    # a triangle's vertices must ascend and lie in the graph, or H and the
+    # witnesses read the wrong vertices
     with pytest.raises(GraphError) as err:
         ENTRY_POINTS[entry](complete(4), triangles)
     assert str(err.value) == message
@@ -304,7 +332,7 @@ def test_trace_invariants_on_random_graphs(n, p, seed):
         assert rec.min_weight <= rec.max_weight
         assert rec.removed
         # recompute P_i independently from the surviving ids
-        recomputed = edge_weight_vector(g, [by_id[c] for c in rec.surviving])
+        recomputed = reference_edge_weights(g, [by_id[c] for c in rec.surviving])
         assert recomputed == rec.weights
         # Q_i is exactly the set of triangles touching a minimum-weight edge
         min_set = set(rec.min_edges)

@@ -16,9 +16,14 @@ from tricliq import (
     ring_sum,
     vertex_weight_vector,
 )
+from tricliq.triangles import TriangleStore
 
 from conftest import corpus_graph, gnp
-from triangles_reference import reference_triangles
+from triangles_reference import (
+    reference_edge_weights,
+    reference_triangles,
+    reference_vertex_weights,
+)
 
 
 class TestEnumeration:
@@ -125,20 +130,23 @@ class TestWeightVectors:
 
     def test_triangle_free_all_zero(self):
         g = moon_moser(2)
-        assert set(edge_weight_vector(g, ())) == {0}
-        assert set(vertex_weight_vector(g, ())) == {0}
+        empty = enumerate_triangles(g)
+        assert len(empty) == 0
+        assert set(edge_weight_vector(g, empty)) == {0}
+        assert set(vertex_weight_vector(g, empty)) == {0}
 
+    # columns: ids, the three vertices, the three edge ids
     def test_out_of_range_edge_rejected(self):
-        from tricliq import Triangle
-        bogus = Triangle(id=1, vertices=(1, 2, 3), edges=(1, 2, 99))
-        with pytest.raises(GraphError):
-            edge_weight_vector(complete(3), [bogus])
+        bogus = TriangleStore([1], [1], [2], [3], [1], [2], [99])
+        with pytest.raises(GraphError) as err:
+            edge_weight_vector(complete(3), bogus)
+        assert str(err.value) == "triangle 1 references edge 99 outside 1..3"
 
     def test_out_of_range_vertex_rejected(self):
-        from tricliq import Triangle
-        bogus = Triangle(id=1, vertices=(1, 2, 99), edges=(1, 2, 3))
-        with pytest.raises(GraphError):
-            vertex_weight_vector(complete(3), [bogus])
+        bogus = TriangleStore([1], [1], [2], [99], [1], [2], [3])
+        with pytest.raises(GraphError) as err:
+            vertex_weight_vector(complete(3), bogus)
+        assert str(err.value) == "triangle 1 references vertex 99 outside 1..3"
 
 
 class TestMinMax:
@@ -210,6 +218,25 @@ def test_weight_sums_are_three_times_triangle_count(n, p, seed):
     tris = enumerate_triangles(g)
     assert sum(edge_weight_vector(g, tris)) == 3 * len(tris)
     assert sum(vertex_weight_vector(g, tris)) == 3 * len(tris)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10**6),
+       st.data())
+def test_column_counts_match_per_triangle_reference(n, p, seed, data):
+    # shuffled edges with random endpoint order, so edge ids do not follow
+    # the triangles' order; the whole listing, an ascending take of it and
+    # the empty take are each counted both ways
+    rng = random.Random(seed)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in gnp(n, p, seed).edges]
+    rng.shuffle(pairs)
+    g = Graph(n, pairs)
+    store = enumerate_triangles(g)
+    ks = sorted(data.draw(st.sets(st.integers(0, len(store) - 1)))) if store else []
+    for subset in (store, store.take(ks), store.take([])):
+        assert edge_weight_vector(g, subset) == reference_edge_weights(g, subset)
+        assert vertex_weight_vector(g, subset) == reference_vertex_weights(g, subset)
 
 
 def test_k4_subgraph_ring_sum_is_empty():

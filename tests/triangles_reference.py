@@ -1,4 +1,5 @@
-"""Tuple-building triangle listing: the reference the columnar store is held to.
+"""Tuple-building triangle listing and per-``Triangle`` weight counts: the
+references the columnar store and its column counts are held to.
 
 For each edge (u,v) with u < v, the common neighbours w > v are read off the
 intersection of the two neighbour sets, each triple is kept as the one int
@@ -36,3 +37,23 @@ def reference_triangles(g: Graph) -> tuple[Triangle, ...]:
         out.append(Triangle(i, (u, v, w),
                             tuple(sorted((eid[u, v], eid[u, w], eid[v, w])))))
     return tuple(out)
+
+
+def reference_edge_weights(g: Graph, triangles) -> tuple[int, ...]:
+    """counts[j-1] = number of the given ``Triangle``s that contain edge j,
+    counted one triangle at a time."""
+    counts = [0] * g.m
+    for t in triangles:
+        for e in t.edges:
+            counts[e - 1] += 1
+    return tuple(counts)
+
+
+def reference_vertex_weights(g: Graph, triangles) -> tuple[int, ...]:
+    """counts[v-1] = number of the given ``Triangle``s that contain vertex v,
+    counted one triangle at a time."""
+    counts = [0] * g.n
+    for t in triangles:
+        for v in t.vertices:
+            counts[v - 1] += 1
+    return tuple(counts)
