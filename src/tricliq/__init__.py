@@ -28,7 +28,6 @@ from .graph import (
     VertexRangeError,
     check_nonseparable,
     is_clique,
-    ring_sum,
 )
 from .io import (
     FormatError,
@@ -106,7 +105,6 @@ __all__ = [
     "moon_moser",
     "parse_dimacs",
     "parse_edge_list",
-    "ring_sum",
     "subgraph_for_edge",
     "vertex_weight_vector",
 ]

@@ -54,14 +54,6 @@ class EmptyVertexSetError(GraphError):
     """An operation that needs at least one vertex received none."""
 
 
-def ring_sum(sets: Iterable[Iterable[int]]) -> frozenset[int]:
-    """Symmetric difference (GF(2) sum) of a sequence of index sets."""
-    acc: frozenset[int] = frozenset()
-    for s in sets:
-        acc = acc ^ frozenset(s)
-    return acc
-
-
 class Graph:
     """Undirected simple graph on vertices ``1..n``.
 

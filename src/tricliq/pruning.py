@@ -34,14 +34,15 @@ seed edge's surviving triangles off its list in time proportional to the
 edge's weight, not T, and that is the candidate subgraph extraction grows.
 
 The JSON log has one weight vector per record, O(records * m) numbers.
-``Trace.to_json_obj`` builds it as one object, which the bench's export
-probe and the tests read; ``Trace.write_json`` writes the same bytes one
+``Trace.write_json`` is the one writer of its format: it writes the log one
 record at a time, re-formatting only the weights a record's removals
 changed, and ``tricliq trace --json`` streams through it.
+``Trace.to_json_obj`` parses what it writes back into one object.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -84,7 +85,7 @@ class _Removals:
     def replay(self) -> Iterator[tuple[list[int], list[int]]]:
         """For each iteration in order, the weight list at its start, indexed
         by edge id (entry 0 unused), and the edge ids changed since the
-        previous iteration.
+        previous iteration; before the first, every weight counts as 0.
 
         One count list serves every iteration: after a pair is yielded, the
         edges of that iteration's removed triangles are decremented in
@@ -97,7 +98,7 @@ class _Removals:
         for e, ks in self.through.items():
             counts[e] = len(ks)
         s = self.store
-        changed: list[int] = []
+        changed = list(self.through)
         for ks in removed_by:
             yield counts, changed
             changed = [*map(s.e1.__getitem__, ks), *map(s.e2.__getitem__, ks),
@@ -148,11 +149,17 @@ class IterationRecord:
 @dataclass(frozen=True)
 class Trace:
     """The full iteration history of ``triangles``: all of one graph's, or
-    the subset passed to ``full_trace``."""
+    the subset passed to ``full_trace``.  It holds the removal state its
+    records share, which ``write_json`` replays."""
 
     records: tuple[IterationRecord, ...]
     mode: str
-    triangles: TriangleStore = field(repr=False)
+    _removals: _Removals = field(repr=False)
+
+    @property
+    def triangles(self) -> TriangleStore:
+        """The store the trace ran on, whose ids the records name."""
+        return self._removals.store
 
     @property
     def main_index(self) -> int | None:
@@ -186,32 +193,18 @@ class Trace:
             raise GraphError(f"triangle {tid} is not in this trace")
         return self.triangles[i]
 
-    def _walk(self) -> Iterator[tuple[IterationRecord, tuple[list[int], list[int]]]]:
-        """Each record paired with what ``_Removals.replay`` yields for it:
-        the weight list at its start, read before the next pair is asked
-        for, and the edge ids changed since the previous record."""
-        replay = self.records[0]._removals.replay() if self.records else ()
-        return zip(self.records, replay)
-
     def to_json_obj(self) -> list[dict]:
-        """One object per record, with a copy of its weight vector.
-
-        The object is O(records * m); the bench's export probe and the tests
-        read it.  ``write_json`` writes the same bytes as ``json.dumps`` of
-        it without building it.
-        """
-        return [{
-            "i": r.index,
-            "min": r.min_weight,
-            "max": r.max_weight,
-            "min_edges": list(r.min_edges),
-            "removed_ids": list(r.removed),
-            "weights": counts[1:],
-        } for r, (counts, _) in self._walk()]
+        """``json.loads`` of what ``write_json`` writes: one object per
+        record, O(records * m).  It is kept for the bench's export probe."""
+        chunks: list[str] = []
+        self.write_json(chunks.append)
+        return json.loads("".join(chunks))
 
     def write_json(self, write: Callable[[str], object]) -> None:
-        """Write ``json.dumps(self.to_json_obj())`` through ``write``: one
-        call per record, then one for the closing bracket.
+        """Write the JSON log through ``write``: a list with one object per
+        record, its keys ``i``, ``min``, ``max``, ``min_edges``,
+        ``removed_ids`` and ``weights``, laid out as ``json.dumps`` lays it
+        out.  There is one call per record, then one for the closing bracket.
 
         Each edge keeps its weight as a string token, and only the tokens of
         the edges a record's removals touched are re-formatted, so the whole
@@ -219,10 +212,8 @@ class Trace:
         record, and memory stays at one record plus the tokens.
         """
         sep = "["
-        tokens: list[str] = []
-        for r, (counts, changed) in self._walk():
-            if not tokens:
-                tokens = list(map(str, counts))
+        tokens = ["0"] * (self._removals.graph.m + 1)
+        for r, (counts, changed) in zip(self.records, self._removals.replay()):
             for e in changed:
                 tokens[e] = str(counts[e])
             write(f'{sep}{{"i": {r.index}, "min": {r.min_weight}, '
@@ -258,11 +249,14 @@ def full_trace(
         raise GraphError(f"unknown trace mode {mode!r}")
     store = (enumerate_triangles(g) if triangles is None
              else TriangleStore.of(g, triangles))
-    return Trace(records=_peel(g, store), mode=mode, triangles=store)
+    records, removals = _peel(g, store)
+    return Trace(records=records, mode=mode, _removals=removals)
 
 
-def _peel(g: Graph, store: TriangleStore) -> tuple[IterationRecord, ...]:
-    """The records of the trace of ``store``, whose edge ids lie in 1..m.
+def _peel(g: Graph, store: TriangleStore
+          ) -> tuple[tuple[IterationRecord, ...], _Removals]:
+    """The records of the trace of ``store``, whose edge ids lie in 1..m,
+    and the removal state they share.
 
     The minimum pointer falls back when a decrement lands below it, and the
     maximum pointer only moves down.
@@ -326,4 +320,4 @@ def _peel(g: Graph, store: TriangleStore) -> tuple[IterationRecord, ...]:
         if len(records) > bound:
             raise RuntimeError(
                 f"trace exceeded its iteration bound {bound}; pruning is stuck")
-    return tuple(records)
+    return tuple(records), removals

@@ -65,14 +65,15 @@ class TriangleStore:
         """``store`` checked as a store of ``g``'s triangles: the one triangle check.
 
         The store's seven columns must be of one length, and it must be in
-        canonical order: ids strictly ascending and the lowest-vertex column
-        non-decreasing, as ``enumerate_triangles`` and ``take`` at ascending
-        positions leave it.  The trace names removals in position order and
-        finds ids by bisection, and ``inside`` bisects the lowest-vertex
-        column, so any other value, a store with a short column, or a store
-        out of order, raises ``GraphError``; so does a triangle naming an
-        edge outside ``1..g.m``, then one whose vertices do not ascend or
-        lie outside ``1..g.n``.
+        canonical order: ids strictly ascending, the lowest-vertex column
+        non-decreasing and the vertex triples strictly ascending, so no
+        triangle is listed twice, as ``enumerate_triangles`` and ``take`` at
+        ascending positions leave it.  The trace names removals in position
+        order and finds ids by bisection, and ``inside`` bisects the
+        lowest-vertex column, so any other value, a store with a short
+        column, or a store out of order, raises ``GraphError``; so does a
+        triangle naming an edge outside ``1..g.m``, then one whose vertices
+        do not ascend or lie outside ``1..g.n``.
         """
         if not isinstance(store, cls):
             raise GraphError("triangles must be a TriangleStore, "
@@ -86,6 +87,9 @@ class TriangleStore:
             raise GraphError("triangle ids must strictly ascend")
         if not all(map(le, us, islice(us, 1, None))):
             raise GraphError("triangles' lowest vertices must not decrease")
+        if not all(map(lt, zip(us, vs, ws),
+                       islice(zip(us, vs, ws), 1, None))):
+            raise GraphError("triangles' vertex triples must strictly ascend")
         cols = (store.e1, store.e2, store.e3)
         if store and (min(map(min, cols)) < 1 or max(map(max, cols)) > g.m):
             raise GraphError("triangle %d references edge %d outside 1..%d"

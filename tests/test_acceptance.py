@@ -27,11 +27,11 @@ from tricliq import (
     min_max,
     moon_moser,
     edge_weight_vector,
-    ring_sum,
 )
 
 from conftest import corpus_graph
 from trace_reference import assert_matches_reference, reference_trace
+from triangles_reference import ring_sum
 
 CORPUS_SIZE = 1000
 

@@ -15,7 +15,6 @@ from tricliq import (
     complete,
     is_clique,
     moon_moser,
-    ring_sum,
 )
 
 from conftest import gnp
@@ -310,18 +309,3 @@ def test_incidence_and_adjacency_views_agree(n, p, seed):
     for v in g.vertices():
         incident = {e for e, pair in enumerate(g.edges, 1) if v in pair}
         assert incident == {g.edge_id(v, u) for u in g.neighbors(v)}
-
-
-edge_sets = st.frozensets(st.integers(1, 30), max_size=12)
-
-
-@given(edge_sets, edge_sets, edge_sets)
-def test_ring_sum_associative_commutative(a, b, c):
-    assert ring_sum([ring_sum([a, b]), c]) == ring_sum([a, ring_sum([b, c])])
-    assert ring_sum([a, b]) == ring_sum([b, a])
-
-
-@given(edge_sets)
-def test_ring_sum_self_inverse(a):
-    assert ring_sum([a, a]) == frozenset()
-    assert ring_sum([a, frozenset()]) == a

@@ -28,6 +28,7 @@ from trace_reference import (
     EmptyIterationError,
     assert_matches_reference,
     prune_step,
+    reference_json_obj,
     reference_trace,
 )
 
@@ -267,6 +268,13 @@ ENTRY_POINTS = {
     # K_4's triangle (2,3,4) under id 1, then (1,2,3) under id 2
     (TriangleStore([1, 2], [2, 1], [3, 2], [4, 3], [4, 1], [5, 2], [6, 4]),
      "triangles' lowest vertices must not decrease"),
+    # K_4's triangle (1,2,3) twice, under ids 1 and 2
+    (TriangleStore([1, 2], [1, 1], [2, 2], [3, 3], [1, 1], [2, 2], [4, 4]),
+     "triangles' vertex triples must strictly ascend"),
+    # K_4's triangle (1,3,4) under id 1, then (1,2,3) under id 2: one run of
+    # the lowest vertex, out of order within it
+    (TriangleStore([1, 2], [1, 1], [3, 2], [4, 3], [2, 1], [3, 2], [6, 4]),
+     "triangles' vertex triples must strictly ascend"),
     # K_4's listing with its last second-edge id, or its last id, dropped
     (TriangleStore(list(K4_LISTING.ids), K4_LISTING.us, K4_LISTING.vs,
                    K4_LISTING.ws, K4_LISTING.e1, K4_LISTING.e2[:-1],
@@ -296,8 +304,9 @@ ENTRY_POINTS = {
     (TriangleStore([1], [0], [2], [3], [1], [2], [4]),
      "triangle 1 references vertex 0 outside 1..4"),
 ], ids=["tuple", "non-ascending-take", "lowest-vertex-decreases",
-        "short-edge-column", "short-id-column", "vertices-descend",
-        "higher-vertices-swapped", "vertex-above-n", "vertex-zero"])
+        "duplicate", "disordered-run", "short-edge-column", "short-id-column",
+        "vertices-descend", "higher-vertices-swapped", "vertex-above-n",
+        "vertex-zero"])
 def test_triangles_out_of_canonical_order_are_rejected(entry, triangles, message):
     # the trace names removals in position order and bisects ids, and the
     # extraction bisects the lowest vertices: any other order misleads both;
@@ -366,13 +375,14 @@ def streamed(trace) -> str:
 @given(edge_sets(), st.sampled_from(MODES))
 def test_streamed_json_equals_the_object_encoding(g, mode):
     trace = full_trace(g, mode=mode)
-    assert streamed(trace) == json.dumps(trace.to_json_obj())
+    assert streamed(trace) == json.dumps(reference_json_obj(trace))
+    assert trace.to_json_obj() == reference_json_obj(trace)
 
 
 def test_streamed_json_of_a_triangle_free_graph_is_an_empty_list():
     trace = full_trace(moon_moser(2))
     assert not trace.records
-    assert streamed(trace) == "[]"
+    assert streamed(trace) == "[]" == json.dumps(reference_json_obj(trace))
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -381,7 +391,7 @@ def test_streamed_json_of_a_triangle_subset(n):
     g = complete(n)
     inside = enumerate_triangles(g).inside(frozenset(range(2, n + 1)))
     trace = full_trace(g, triangles=inside)
-    assert streamed(trace) == json.dumps(trace.to_json_obj())
+    assert streamed(trace) == json.dumps(reference_json_obj(trace))
 
 
 def test_streamed_json_on_the_corpus_slice():
@@ -389,7 +399,9 @@ def test_streamed_json_on_the_corpus_slice():
         g = corpus_graph(i)
         for mode in MODES:
             trace = full_trace(g, mode=mode)
-            assert streamed(trace) == json.dumps(trace.to_json_obj()), i
+            want = reference_json_obj(trace)
+            assert streamed(trace) == json.dumps(want), i
+            assert trace.to_json_obj() == want, i
 
 
 def test_streaming_holds_one_record_not_the_log():

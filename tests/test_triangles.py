@@ -13,7 +13,6 @@ from tricliq import (
     enumerate_triangles,
     min_max,
     moon_moser,
-    ring_sum,
     vertex_weight_vector,
 )
 from tricliq.triangles import TriangleStore
@@ -23,6 +22,7 @@ from triangles_reference import (
     reference_edge_weights,
     reference_triangles,
     reference_vertex_weights,
+    ring_sum,
 )
 
 

@@ -4,6 +4,10 @@ Every iteration recounts the weight of every edge over the surviving
 triangles and rescans all m edges for the minimum, exactly as the iteration
 is defined, with no state carried between iterations.  It costs
 O(iterations * (T + m)), so the tests run it only on small graphs.
+
+``reference_json_obj`` builds the JSON log as one object from each record's
+fields and its rebuilt ``weights``: ``Trace.write_json`` is held to
+``json.dumps`` of it byte for byte.
 """
 
 from __future__ import annotations
@@ -88,3 +92,17 @@ def assert_matches_reference(trace, reference: list[ReferenceRecord]) -> None:
             assert getattr(got, name) == getattr(want, name), (got.index, name)
     assert [o["weights"] for o in trace.to_json_obj()] == \
         [list(r.weights) for r in reference]
+
+
+def reference_json_obj(trace) -> list[dict]:
+    """One object per record of ``trace``, its weight vector read from
+    ``IterationRecord.weights``, which replays the removals afresh for each
+    record: O(records * (T + m))."""
+    return [{
+        "i": r.index,
+        "min": r.min_weight,
+        "max": r.max_weight,
+        "min_edges": list(r.min_edges),
+        "removed_ids": list(r.removed),
+        "weights": list(r.weights),
+    } for r in trace.records]

@@ -8,6 +8,9 @@ and each key is decoded into one ``Triangle`` with its sorted edge triple.
 It shares nothing with ``enumerate_triangles`` but the edge list: its
 neighbour sets and its endpoint-pair to edge-id dict are built here from
 ``g.edges``, apart from the graph's own edge index.
+
+``ring_sum`` adds edge sets over GF(2), the cycle-space sum the triangle
+tests and criterion 8f check.
 """
 
 from __future__ import annotations
@@ -57,3 +60,11 @@ def reference_vertex_weights(g: Graph, triangles) -> tuple[int, ...]:
         for v in t.vertices:
             counts[v - 1] += 1
     return tuple(counts)
+
+
+def ring_sum(sets) -> frozenset[int]:
+    """Symmetric difference (GF(2) sum) of a sequence of index sets."""
+    acc: frozenset[int] = frozenset()
+    for s in sets:
+        acc = acc ^ frozenset(s)
+    return acc
