@@ -155,26 +155,21 @@ def _grow(
 def extract_max_clique(
     g: Graph,
     mode: str = MODE_EXHAUSTIVE,
-    seed_edge: int | None = None,
     triangles: TriangleStore | None = None,
 ) -> CliqueResult:
     """Run the full pipeline: trace, main iteration, seed edge, subgraph, repeat.
 
-    The seed edge defaults to the lowest-numbered edge attaining the minimum
-    weight; pass ``seed_edge`` to reproduce a specific published choice (it
-    must attain the minimum).  ``triangles``, when given, goes to
-    ``full_trace``: a ``TriangleStore`` in ascending id order, such as
+    The seed edge is the lowest-numbered edge attaining the minimum weight;
+    ``cliques_per_min_edge`` grows one clique from each of them.
+    ``triangles``, when given, goes to ``full_trace``: a ``TriangleStore``
+    in ascending id order whose rows are triangles of ``g``, such as
     ``enumerate_triangles(g)`` (a caller that holds it saves listing again)
-    or a ``take`` of it.  On a triangle-free graph the result degrades to
-    the first edge, or the first vertex, flagged ``degenerate``; there is
-    no main iteration then, so no ``seed_edge`` attains its minimum.
+    or a ``take`` of it; ``TriangleStore.of`` rejects anything else with
+    ``GraphError``.  On a triangle-free graph the result degrades to the
+    first edge, or the first vertex, flagged ``degenerate``.
     """
     trace = full_trace(g, mode, triangles)
     if not trace.records:
-        if seed_edge is not None:
-            raise GraphError(
-                f"seed edge {seed_edge} does not attain a minimum weight: "
-                "there are no triangles, so there is no main iteration")
         vertices = frozenset(g.endpoints(1) if g.m else (1,))
         return CliqueResult(
             vertices=vertices,
@@ -185,13 +180,7 @@ def extract_max_clique(
             degenerate=True,
         )
     record = trace.main_iteration()
-    if seed_edge is None:
-        seed_edge = record.min_edges[0]
-    elif seed_edge not in record.min_edges:
-        raise GraphError(
-            f"seed edge {seed_edge} does not attain the minimum weight "
-            f"{record.min_weight} in the main iteration")
-    return _grow(g, trace.triangles, record, seed_edge, mode)
+    return _grow(g, trace.triangles, record, record.min_edges[0], mode)
 
 
 @dataclass(frozen=True)

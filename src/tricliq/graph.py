@@ -13,7 +13,8 @@ listing walks exactly these higher neighbours, and ``has_edge``,
 reader that walks every neighbour of every vertex (the nonseparability DFS,
 the exact oracles) asks ``Graph._neighbour_lists`` for lists built from the
 edge list in O(n + m) per call, and the oracles build their bitsets from
-those lists.
+those lists.  There is no one-vertex neighbour or degree view: read from the
+index, it would look up every lower vertex, O(n) per call.
 
 The constructor reads the pairs once, in the order given: it checks each
 pair, numbers it and enters it in the edge index, and stops at the first
@@ -120,21 +121,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        """The neighbours of ``v``: its higher neighbours in the index, and
-        each lower vertex whose higher neighbours hold ``v``.
-
-        O(n) per call, since every lower vertex is looked up.  No library
-        path calls this or ``degree``; a reader of every vertex's neighbours
-        takes ``_neighbour_lists`` instead.
-        """
-        self._check_vertex(v)
-        up = self._up
-        return frozenset(up[v]).union(u for u in range(1, v) if v in up[u])
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:

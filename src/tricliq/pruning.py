@@ -243,7 +243,8 @@ def full_trace(
     ``TriangleStore`` in ascending id order instead, such as
     ``enumerate_triangles(g)`` or a ``take`` of it (the triangles inside a
     vertex subset, say), and the records name the triangles by their ids.
-    ``TriangleStore.of`` rejects any other value with ``GraphError``.
+    ``TriangleStore.of`` rejects any other value with ``GraphError``, a
+    store with a row that is not a triangle of ``g`` included.
     """
     if mode not in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
         raise GraphError(f"unknown trace mode {mode!r}")
@@ -255,7 +256,7 @@ def full_trace(
 
 def _peel(g: Graph, store: TriangleStore
           ) -> tuple[tuple[IterationRecord, ...], _Removals]:
-    """The records of the trace of ``store``, whose edge ids lie in 1..m,
+    """The records of the trace of ``store``, whose rows are triangles of ``g``,
     and the removal state they share.
 
     The minimum pointer falls back when a decrement lands below it, and the

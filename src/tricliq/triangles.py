@@ -10,12 +10,15 @@ of its endpoints, taken in ascending vertex order: enumeration order is
 ascending lexicographic on the sorted vertex triple, whatever the edge
 order, which makes triangle ids stable and reproducible.  The listing is
 held as flat columns, a ``TriangleStore``: the ids, the three vertex
-columns and the three edge-id columns, all in that canonical order.  Each
+columns and the three edge-id columns, all in that canonical order, with
+a triangle (u, v, w)'s edges in the columns as (u, v), (u, w), (v, w).  Each
 edge's run of triangles extends the columns by ``map`` and ``repeat``
 passes; the trace and the weight vectors read the columns by position.
-``TriangleStore.of`` is the one check of a store against a graph, and
-admits only that order, which ``TriangleStore.inside`` relies on.  A
-``Triangle`` is only an output view, built when a caller reads the store.
+``TriangleStore.of`` is the one check of a store against a graph: it admits
+only that order, which ``TriangleStore.inside`` relies on, and only rows
+that are triangles of the graph by the listing's own definition, read off
+the graph's edge index.  A ``Triangle`` is only an output view, built when
+a caller reads the store.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, compress, islice, repeat
-from operator import and_, le, lt
+from operator import and_, eq, lt
 from typing import Iterator, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
@@ -41,11 +44,12 @@ class TriangleStore:
     """Triangles as flat columns in canonical vertex-triple order.
 
     Position ``k`` is one triangle: ``ids[k]`` is its id, ``us[k] < vs[k] <
-    ws[k]`` its vertices, and ``e1[k]``, ``e2[k]``, ``e3[k]`` its edge ids
-    in no particular order.  ``us`` is non-decreasing, so the triangles
-    whose lowest vertex is ``u`` form one run of positions, found by
-    bisection.  A listing's ids are ``range(1, T + 1)``; ``take`` and
-    ``inside`` keep the ids of the triangles they hold.
+    ws[k]`` its vertices, and ``e1[k]``, ``e2[k]``, ``e3[k]`` the ids of its
+    edges (us[k], vs[k]), (us[k], ws[k]) and (vs[k], ws[k]), in that order,
+    as ``enumerate_triangles`` lists them and ``take`` keeps them.  ``us`` is
+    non-decreasing, so the triangles whose lowest vertex is ``u`` form one
+    run of positions, found by bisection.  A listing's ids are ``range(1, T
+    + 1)``; ``take`` and ``inside`` keep the ids of the triangles they hold.
 
     ``store[k]``, slicing, iteration and ``len`` behave as on a tuple of
     ``Triangle``s, each built on demand with its edges sorted.
@@ -64,16 +68,18 @@ class TriangleStore:
     def of(cls, g: Graph, store: TriangleStore) -> TriangleStore:
         """``store`` checked as a store of ``g``'s triangles: the one triangle check.
 
-        The store's seven columns must be of one length, and it must be in
-        canonical order: ids strictly ascending, the lowest-vertex column
-        non-decreasing and the vertex triples strictly ascending, so no
+        The store's seven columns must be of one length, its ids must
+        strictly ascend and its vertex triples strictly ascend, so no
         triangle is listed twice, as ``enumerate_triangles`` and ``take`` at
-        ascending positions leave it.  The trace names removals in position
-        order and finds ids by bisection, and ``inside`` bisects the
-        lowest-vertex column, so any other value, a store with a short
-        column, or a store out of order, raises ``GraphError``; so does a
-        triangle naming an edge outside ``1..g.m``, then one whose vertices
-        do not ascend or lie outside ``1..g.n``.
+        ascending positions leave it.  Each row must be a triangle of ``g``
+        by definition: the edge index names its pair (u, v) by ``e1``,
+        (u, w) by ``e2`` and (v, w) by ``e3``, which puts its vertices in
+        ``1..g.n``, ascending, and its edge ids in ``1..g.m``.  The trace
+        names removals in position order and finds ids by bisection, and
+        ``inside`` bisects the lowest-vertex column, so any other value, a
+        store with a short column or out of order, or a row that is not a
+        triangle of ``g`` raises ``GraphError``; the last names its first
+        such row.
         """
         if not isinstance(store, cls):
             raise GraphError("triangles must be a TriangleStore, "
@@ -85,23 +91,16 @@ class TriangleStore:
         ids, us, vs, ws = store.ids, store.us, store.vs, store.ws
         if not all(map(lt, ids, islice(ids, 1, None))):
             raise GraphError("triangle ids must strictly ascend")
-        if not all(map(le, us, islice(us, 1, None))):
-            raise GraphError("triangles' lowest vertices must not decrease")
         if not all(map(lt, zip(us, vs, ws),
                        islice(zip(us, vs, ws), 1, None))):
             raise GraphError("triangles' vertex triples must strictly ascend")
-        cols = (store.e1, store.e2, store.e3)
-        if store and (min(map(min, cols)) < 1 or max(map(max, cols)) > g.m):
-            raise GraphError("triangle %d references edge %d outside 1..%d"
-                             % (*_first_outside(ids, cols, g.m), g.m))
-        if not (all(map(lt, us, vs)) and all(map(lt, vs, ws))):
-            tid, *t = next(r for r in zip(ids, us, vs, ws) if not r[1] < r[2] < r[3])
-            raise GraphError(f"triangle {tid}'s vertices {tuple(t)} do not ascend")
-        # with us non-decreasing and each triangle ascending, us[0] and
-        # max(ws) are the store's least and greatest vertices
-        if store and (us[0] < 1 or max(ws) > g.n):
-            raise GraphError("triangle %d references vertex %d outside 1..%d"
-                             % (*_first_outside(ids, (us, vs, ws), g.n), g.n))
+        cols = (us, vs, ws, store.e1, store.e2, store.e3)
+        if store and not _are_triangles(g, *cols):
+            tid, u, v, w, *edges = next(
+                row for row in zip(ids, *cols)
+                if not _are_triangles(g, *([x] for x in row[1:])))
+            raise GraphError(f"triangle {tid} with vertices {(u, v, w)} and "
+                             f"edges {tuple(edges)} is not a triangle of the graph")
         return store
 
     def take(self, ks: Sequence[int]) -> TriangleStore:
@@ -206,9 +205,27 @@ def vertex_weight_vector(g: Graph, triangles: TriangleStore) -> tuple[int, ...]:
     return tuple(map(counts.get, range(1, g.n + 1), repeat(0)))
 
 
-def _first_outside(ids: Sequence[int], cols: tuple, hi: int) -> tuple[int, int]:
-    """(id, smallest bad value) of the first triangle with a value in ``cols``
-    outside ``1..hi``, scanning the columns row by row; there must be one."""
-    return next((tid, min(x for x in row if not 1 <= x <= hi))
-                for tid, *row in zip(ids, *cols)
-                if not all(1 <= x <= hi for x in row))
+_NOT_AN_EDGE = object()
+
+
+def _are_triangles(g: Graph, us: Sequence[int], vs: Sequence[int],
+                   ws: Sequence[int], e1: Sequence[int], e2: Sequence[int],
+                   e3: Sequence[int]) -> bool:
+    """Whether every row k of these non-empty columns, ``us`` non-decreasing,
+    is a triangle of ``g``: the edge index names (us[k], vs[k]) by e1[k],
+    (us[k], ws[k]) by e2[k] and (vs[k], ws[k]) by e3[k].
+
+    One ``map`` pass per edge column, in that order.  The guard keeps ``us``
+    in ``1..g.n``, and once the e1 pass holds, each ``vs[k]`` is a higher
+    neighbour of ``us[k]``, so the e3 pass indexes the edge index safely.  A
+    pair that is not an edge reads ``_NOT_AN_EDGE``, which equals no edge
+    value, ``None`` and ``0`` included.
+    """
+    up = g._up
+
+    def named(lows: Sequence[int], highs: Sequence[int], es: Sequence[int]) -> bool:
+        return all(map(eq, map(dict.get, map(up.__getitem__, lows), highs,
+                               repeat(_NOT_AN_EDGE)), es))
+
+    return (1 <= us[0] and us[-1] <= g.n and named(us, vs, e1)
+            and named(us, ws, e2) and named(vs, ws, e3))

@@ -19,13 +19,14 @@ from typing import Iterable
 from tricliq import (
     EmptyVertexSetError,
     Graph,
-    GraphError,
     MODE_EXHAUSTIVE,
     NoTrianglesThroughEdgeError,
     enumerate_triangles,
     full_trace,
     is_clique,
 )
+
+from graph_reference import neighbors
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
 
 def most_deficient_vertex(g: Graph, vertices: frozenset[int]) -> int:
     """Vertex with the fewest neighbors inside ``vertices`` (lowest label on ties)."""
-    return min(sorted(vertices), key=lambda v: len(g.neighbors(v) & vertices))
+    return min(sorted(vertices), key=lambda v: len(neighbors(g, v) & vertices))
 
 
 def _span(g, triangles, surviving, edge):
@@ -99,7 +100,7 @@ def _span(g, triangles, surviving, edge):
     return frozenset(h)
 
 
-def _extract(g, triangles, mode, seed_edge, depth):
+def _extract(g, triangles, mode, depth):
     """Returns (vertices, seed edges, depth reached, fallback used, degenerate)."""
     if depth > g.n:
         raise RuntimeError("reference extraction recursed too deep")
@@ -109,16 +110,10 @@ def _extract(g, triangles, mode, seed_edge, depth):
         return frozenset({1}), (), depth, False, True
     record = full_trace(g, mode=mode, triangles=triangles).main_iteration()
     return _from_record(g, triangles, record, record.surviving, mode,
-                        seed_edge, depth)
+                        record.min_edges[0], depth)
 
 
-def _from_record(g, triangles, record, surviving, mode, seed_edge, depth):
-    if seed_edge is None:
-        edge = record.min_edges[0]
-    else:
-        if seed_edge not in record.min_edges:
-            raise GraphError(f"seed edge {seed_edge} does not attain the minimum")
-        edge = seed_edge
+def _from_record(g, triangles, record, surviving, mode, edge, depth):
     h = _span(g, triangles, surviving, edge)
     if is_clique(g, h):
         return h, (edge,), depth, False, False
@@ -128,7 +123,7 @@ def _from_record(g, triangles, record, surviving, mode, seed_edge, depth):
         fallback = True
     sub = induced_subgraph(g, h)
     verts, seeds, final_depth, fb, degen = _extract(
-        sub.graph, enumerate_triangles(sub.graph), mode, None, depth + 1)
+        sub.graph, enumerate_triangles(sub.graph), mode, depth + 1)
     return (frozenset(sub.parent_vertex(v) for v in verts),
             (edge,) + tuple(sub.parent_edge(e) for e in seeds),
             final_depth, fallback or fb, degen)
@@ -148,10 +143,9 @@ def _finish(g, raw, triangles) -> ReferenceResult:
     )
 
 
-def reference_extract(g: Graph, mode: str = MODE_EXHAUSTIVE,
-                      seed_edge: int | None = None) -> ReferenceResult:
+def reference_extract(g: Graph, mode: str = MODE_EXHAUSTIVE) -> ReferenceResult:
     triangles = enumerate_triangles(g)
-    return _finish(g, _extract(g, triangles, mode, seed_edge, 0), triangles)
+    return _finish(g, _extract(g, triangles, mode, 0), triangles)
 
 
 def reference_per_edge(g: Graph, mode: str = MODE_EXHAUSTIVE):

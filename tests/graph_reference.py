@@ -3,6 +3,10 @@
 ``_raise_first_rejected`` walks a pair list in order and raises the error
 ``Graph(n, pairs)`` must raise for the first pair it rejects.
 
+``neighbors`` and ``degree`` read one vertex's neighbours off the edge list,
+O(m) per call; the library has no per-vertex view, and a reader of every
+vertex's neighbours takes ``Graph._neighbour_lists``.
+
 Nonseparability by deletion: a bridge is an edge, and an articulation point
 a vertex, whose deletion leaves more connected components than the graph
 has.  Counting components once per edge and once per vertex costs
@@ -39,6 +43,17 @@ def _raise_first_rejected(n: int, pairs: list[tuple[int, int]]) -> None:
             exc = DuplicateEdgeError(f"duplicate edge ({u},{v})")
         exc.position = i
         raise exc
+
+
+def neighbors(g: Graph, v: int) -> frozenset[int]:
+    """The neighbours of ``v`` in ``g``: the other endpoint of each edge on it."""
+    if not 1 <= v <= g.n:
+        raise VertexRangeError(f"vertex {v} outside 1..{g.n}")
+    return frozenset(b if a == v else a for a, b in g.edges if v in (a, b))
+
+
+def degree(g: Graph, v: int) -> int:
+    return len(neighbors(g, v))
 
 
 def components(vertices: set[int], pairs: list[tuple[int, int]]) -> int:

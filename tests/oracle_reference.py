@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from tricliq import BudgetExceededError, Graph, OracleResult
 
+from graph_reference import degree, neighbors
+
 
 def reference_max_clique(g: Graph, budget: int = 10_000_000) -> OracleResult:
     """A maximum clique by branch and bound over degree-ordered candidates."""
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    order = sorted(g.vertices(), key=lambda v: (-degree(g, v), v))
     best: list[int] = []
     visited = 0
 
@@ -29,7 +31,7 @@ def reference_max_clique(g: Graph, budget: int = 10_000_000) -> OracleResult:
         for i, v in enumerate(candidates):
             if len(current) + len(candidates) - i <= len(best):
                 return
-            nbrs = g.neighbors(v)
+            nbrs = neighbors(g, v)
             expand(current + [v], [u for u in candidates[i + 1:] if u in nbrs])
 
     expand([], order)

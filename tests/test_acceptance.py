@@ -30,6 +30,7 @@ from tricliq import (
 )
 
 from conftest import corpus_graph
+from graph_reference import neighbors
 from trace_reference import assert_matches_reference, reference_trace
 from triangles_reference import ring_sum
 
@@ -83,9 +84,10 @@ def test_criterion_3_g1_trace_and_seeded_extraction(g1):
     assert list(trace.records[0].weights) == g1.expected["p0"]
     assert trace.min_max_sequence() == [(2, 5), (2, 4), (3, 3)]
     assert trace.main_index == 2
-    result = extract_max_clique(g, seed_edge=4)
+    result = cliques_per_min_edge(g).by_edge[4]
     assert sorted(result.vertices) == [1, 2, 3, 4, 5]
     assert len(result.witness_triangles) == 10
+    assert result.seed_edges == (4,)
     _report("3", True, "printed P0, MIN/MAX sequence, main index 2, "
                        "edge-4 extraction with 10 witnesses")
 
@@ -205,7 +207,7 @@ def test_criterion_8e_membership_count_inside_oracle_cliques(corpus):
         for clique in enumerate_maximal_cliques(g):
             size = len(clique)
             for u, v in combinations(sorted(clique), 2):
-                assert len(g.neighbors(u) & g.neighbors(v) & clique) == size - 2
+                assert len(neighbors(g, u) & neighbors(g, v) & clique) == size - 2
             checked += 1
     _report("8e", True,
             f"every internal edge of {checked} oracle cliques lies in "

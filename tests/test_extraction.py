@@ -111,17 +111,10 @@ class TestExtraction:
         assert sorted(result.vertices) in g1.expected["max_cliques"]
 
     def test_g1_seeded_at_edge_4(self, g1):
-        result = extract_max_clique(g1.graph, seed_edge=4)
+        result = cliques_per_min_edge(g1.graph).by_edge[4]
         assert sorted(result.vertices) == [1, 2, 3, 4, 5]
         assert len(result.witness_triangles) == 10
         assert result.seed_edges == (4,)
-
-    def test_seed_must_attain_minimum(self, g2):
-        # g2's main iteration has MIN=3 < MAX=5; edge 2 carries weight 5 and
-        # edge 5 weight 4, so neither is a legal seed
-        for bad_seed in (2, 5):
-            with pytest.raises(GraphError):
-                extract_max_clique(g2.graph, seed_edge=bad_seed)
 
     def test_moon_moser_4(self):
         result = extract_max_clique(moon_moser(4))
@@ -154,16 +147,9 @@ class TestExtraction:
         result = extract_max_clique(Graph(3, []))
         assert result.size == 1 and result.degenerate
 
-    def test_seed_on_a_triangle_free_graph_is_rejected(self):
-        # no triangles, no main iteration: no edge attains its minimum, an
-        # edge of the graph included; without a seed the result degrades
-        g = Graph(3, [(1, 2), (2, 3)])
-        for seed in (999, 1):
-            with pytest.raises(GraphError, match=f"^seed edge {seed} does "
-                               "not attain a minimum weight: there are no "
-                               "triangles, so there is no main iteration$"):
-                extract_max_clique(g, seed_edge=seed)
-        result = extract_max_clique(g, seed_edge=None)
+    def test_degenerate_path(self):
+        # no triangles, no main iteration: the result degrades to edge 1
+        result = extract_max_clique(Graph(3, [(1, 2), (2, 3)]))
         assert result.degenerate and result.vertices == {1, 2}
         assert result.seed_edges == ()
 

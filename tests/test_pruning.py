@@ -226,19 +226,24 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
 @pytest.mark.parametrize("entry", [full_trace, extract_max_clique,
                                    edge_weight_vector, vertex_weight_vector])
 @pytest.mark.parametrize("g,triangles,message", [
-    # K_5's triangle 3 is (1,2,5), whose edge (2,5) is edge 7 of K_5
+    # K_5's listing on K_4: its triangle 1, (1,2,3), names (2,3) by K_5's
+    # edge 5, and its triangle 3, (1,2,5), names edge 7 of K_5
     (complete(4), enumerate_triangles(complete(5)),
-     "triangle 3 references edge 7 outside 1..6"),
+     "triangle 1 with vertices (1, 2, 3) and edges (1, 2, 5) is not a "
+     "triangle of the graph"),
     # columns: ids, the three vertices, the three edge ids
     (complete(3), TriangleStore([1], [1], [2], [3], [0], [2], [3]),
-     "triangle 1 references edge 0 outside 1..3"),
+     "triangle 1 with vertices (1, 2, 3) and edges (0, 2, 3) is not a "
+     "triangle of the graph"),
     # K_4's triangle 1, then (1,2,4) naming edge -1
     (complete(4), TriangleStore([1, 2], [1, 1], [2, 2], [3, 4],
                                 [1, -1], [2, 1], [4, 3]),
-     "triangle 2 references edge -1 outside 1..6"),
-    # two edges outside: the smaller is named, whatever its column
+     "triangle 2 with vertices (1, 2, 4) and edges (-1, 1, 3) is not a "
+     "triangle of the graph"),
+    # two edges outside
     (complete(3), TriangleStore([1], [1], [2], [3], [7], [0], [3]),
-     "triangle 1 references edge 0 outside 1..3"),
+     "triangle 1 with vertices (1, 2, 3) and edges (7, 0, 3) is not a "
+     "triangle of the graph"),
 ], ids=["above-m", "zero", "negative", "two-outside"])
 def test_triangles_naming_edges_outside_the_graph_are_rejected(
         entry, g, triangles, message):
@@ -265,9 +270,10 @@ ENTRY_POINTS = {
     (tuple(K4_LISTING), "triangles must be a TriangleStore, not tuple"),
     (K4_LISTING.take([1, 0, 2, 3]),
      "triangle ids must strictly ascend"),
-    # K_4's triangle (2,3,4) under id 1, then (1,2,3) under id 2
+    # K_4's triangle (2,3,4) under id 1, then (1,2,3) under id 2: the
+    # lowest vertices decrease, so the triples do not ascend
     (TriangleStore([1, 2], [2, 1], [3, 2], [4, 3], [4, 1], [5, 2], [6, 4]),
-     "triangles' lowest vertices must not decrease"),
+     "triangles' vertex triples must strictly ascend"),
     # K_4's triangle (1,2,3) twice, under ids 1 and 2
     (TriangleStore([1, 2], [1, 1], [2, 2], [3, 3], [1, 1], [2, 2], [4, 4]),
      "triangles' vertex triples must strictly ascend"),
@@ -287,22 +293,25 @@ ENTRY_POINTS = {
      "triangle columns differ in length: "
      "ids 3, us 4, vs 4, ws 4, e1 4, e2 4, e3 4"),
     # K_4's listing with its lowest and highest vertex columns swapped: the
-    # first column still never decreases, so only the per-triangle order
-    # shows it
+    # triples still ascend, so only the per-triangle check shows it
     (TriangleStore(K4_LISTING.ids, K4_LISTING.ws, K4_LISTING.vs,
                    K4_LISTING.us, K4_LISTING.e1, K4_LISTING.e2,
                    K4_LISTING.e3),
-     "triangle 1's vertices (3, 2, 1) do not ascend"),
+     "triangle 1 with vertices (3, 2, 1) and edges (1, 2, 4) is not a "
+     "triangle of the graph"),
     # ... or its two higher vertex columns swapped
     (TriangleStore(K4_LISTING.ids, K4_LISTING.us, K4_LISTING.ws,
                    K4_LISTING.vs, K4_LISTING.e1, K4_LISTING.e2,
                    K4_LISTING.e3),
-     "triangle 1's vertices (1, 3, 2) do not ascend"),
+     "triangle 1 with vertices (1, 3, 2) and edges (1, 2, 4) is not a "
+     "triangle of the graph"),
     # K_4's edges 1, 2, 4 under the vertices (1, 2, 99), then (0, 2, 3)
     (TriangleStore([1], [1], [2], [99], [1], [2], [4]),
-     "triangle 1 references vertex 99 outside 1..4"),
+     "triangle 1 with vertices (1, 2, 99) and edges (1, 2, 4) is not a "
+     "triangle of the graph"),
     (TriangleStore([1], [0], [2], [3], [1], [2], [4]),
-     "triangle 1 references vertex 0 outside 1..4"),
+     "triangle 1 with vertices (0, 2, 3) and edges (1, 2, 4) is not a "
+     "triangle of the graph"),
 ], ids=["tuple", "non-ascending-take", "lowest-vertex-decreases",
         "duplicate", "disordered-run", "short-edge-column", "short-id-column",
         "vertices-descend", "higher-vertices-swapped", "vertex-above-n",
@@ -314,6 +323,49 @@ def test_triangles_out_of_canonical_order_are_rejected(entry, triangles, message
     # witnesses read the wrong vertices
     with pytest.raises(GraphError) as err:
         ENTRY_POINTS[entry](complete(4), triangles)
+    assert str(err.value) == message
+
+
+# the path 1-2-3-4: (1,2) is edge 1, (2,3) edge 2, (3,4) edge 3
+PATH4 = Graph(4, [(1, 2), (2, 3), (3, 4)])
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("g,triangles,message", [
+    # a triangle-free graph with a made-up triangle over its first edges
+    (PATH4, TriangleStore([1], [1], [2], [3], [1], [2], [3]),
+     "triangle 1 with vertices (1, 2, 3) and edges (1, 2, 3) is not a "
+     "triangle of the graph"),
+    # K_4's (1,2,3) naming (2,3) by edge 5, which is (2,4): only the third
+    # edge column is wrong
+    (complete(4), TriangleStore([1], [1], [2], [3], [1], [2], [5]),
+     "triangle 1 with vertices (1, 2, 3) and edges (1, 2, 5) is not a "
+     "triangle of the graph"),
+    # K_4's listing with its last two edge columns swapped: every row still
+    # names its own three edges, in the wrong columns
+    (complete(4),
+     TriangleStore(K4_LISTING.ids, K4_LISTING.us, K4_LISTING.vs,
+                   K4_LISTING.ws, K4_LISTING.e1, K4_LISTING.e3,
+                   K4_LISTING.e2),
+     "triangle 1 with vertices (1, 2, 3) and edges (1, 4, 2) is not a "
+     "triangle of the graph"),
+    # (1,3) is no edge of the path: a lookup that reads ``None`` or ``0``
+    # for a missing pair must not match an edge id of ``None`` or ``0``
+    (PATH4, TriangleStore([1], [1], [2], [3], [1], [None], [2]),
+     "triangle 1 with vertices (1, 2, 3) and edges (1, None, 2) is not a "
+     "triangle of the graph"),
+    (PATH4, TriangleStore([1], [1], [2], [3], [1], [0], [2]),
+     "triangle 1 with vertices (1, 2, 3) and edges (1, 0, 2) is not a "
+     "triangle of the graph"),
+], ids=["path+fake", "k4-wrong-edge", "swapped-edge-columns", "none-edge",
+        "zero-edge-on-a-non-edge"])
+def test_rows_that_are_not_triangles_of_the_graph_are_rejected(
+        entry, g, triangles, message):
+    # a row is a triangle of g only if the edge index names (u,v) e1,
+    # (u,w) e2 and (v,w) e3; anything else is traced, counted or grown
+    # from as if it were one
+    with pytest.raises(GraphError) as err:
+        ENTRY_POINTS[entry](g, triangles)
     assert str(err.value) == message
 
 

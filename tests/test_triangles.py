@@ -18,6 +18,7 @@ from tricliq import (
 from tricliq.triangles import TriangleStore
 
 from conftest import corpus_graph, gnp
+from graph_reference import neighbors
 from triangles_reference import (
     reference_edge_weights,
     reference_triangles,
@@ -140,13 +141,17 @@ class TestWeightVectors:
         bogus = TriangleStore([1], [1], [2], [3], [1], [2], [99])
         with pytest.raises(GraphError) as err:
             edge_weight_vector(complete(3), bogus)
-        assert str(err.value) == "triangle 1 references edge 99 outside 1..3"
+        assert str(err.value) == (
+            "triangle 1 with vertices (1, 2, 3) and edges (1, 2, 99) is not a "
+            "triangle of the graph")
 
     def test_out_of_range_vertex_rejected(self):
         bogus = TriangleStore([1], [1], [2], [99], [1], [2], [3])
         with pytest.raises(GraphError) as err:
             vertex_weight_vector(complete(3), bogus)
-        assert str(err.value) == "triangle 1 references vertex 99 outside 1..3"
+        assert str(err.value) == (
+            "triangle 1 with vertices (1, 2, 99) and edges (1, 2, 3) is not a "
+            "triangle of the graph")
 
 
 class TestMinMax:
@@ -209,7 +214,7 @@ def test_edge_weight_equals_common_neighbor_count(n, p, seed):
     w = edge_weight_vector(g, enumerate_triangles(g))
     for e in range(1, g.m + 1):
         u, v = g.endpoints(e)
-        assert w[e - 1] == len(g.neighbors(u) & g.neighbors(v))
+        assert w[e - 1] == len(neighbors(g, u) & neighbors(g, v))
 
 
 @given(st.integers(3, 14), st.sampled_from([0.3, 0.6]), st.integers(0, 10**6))
@@ -237,6 +242,45 @@ def test_column_counts_match_per_triangle_reference(n, p, seed, data):
     for subset in (store, store.take(ks), store.take([])):
         assert edge_weight_vector(g, subset) == reference_edge_weights(g, subset)
         assert vertex_weight_vector(g, subset) == reference_vertex_weights(g, subset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 14), st.sampled_from([0.4, 0.7]), st.integers(0, 10**6),
+       st.data())
+def test_of_accepts_takes_and_names_the_one_corrupted_row(n, p, seed, data):
+    # shuffled edges, so edge ids do not follow the pairs' order; a take at
+    # ascending positions is accepted as it is, and corrupting one of its
+    # rows, by naming another edge of g in one edge column or by swapping
+    # two edge columns, is rejected naming that row
+    rng = random.Random(seed)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in gnp(n, p, seed).edges]
+    rng.shuffle(pairs)
+    g = Graph(n, pairs)
+    store = enumerate_triangles(g)
+    ks = sorted(data.draw(st.sets(st.integers(0, len(store) - 1)))) if store else []
+    taken = store.take(ks)
+    assert TriangleStore.of(g, taken) is taken
+    if not ks:
+        return
+    j = data.draw(st.integers(0, len(ks) - 1))
+    cols = [taken.e1[:], taken.e2[:], taken.e3[:]]
+    row = [col[j] for col in cols]
+    if data.draw(st.booleans()):
+        c = data.draw(st.integers(0, 2))
+        row[c] = data.draw(st.integers(1, g.m).filter(lambda e: e != row[c]))
+    else:
+        a, b = data.draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+        row[a], row[b] = row[b], row[a]
+    for col, e in zip(cols, row):
+        col[j] = e
+    bad = TriangleStore(taken.ids, taken.us, taken.vs, taken.ws, *cols)
+    with pytest.raises(GraphError) as err:
+        TriangleStore.of(g, bad)
+    vertices = (taken.us[j], taken.vs[j], taken.ws[j])
+    assert str(err.value) == (
+        f"triangle {taken.ids[j]} with vertices {vertices} and edges "
+        f"{tuple(row)} is not a triangle of the graph")
 
 
 def test_k4_subgraph_ring_sum_is_empty():
