@@ -84,8 +84,8 @@ def subgraph_for_edge(
 
     ``triangles`` must be the whole listing ``enumerate_triangles(g)``, a
     ``TriangleStore`` in ascending id order whose triangle ``c`` sits at
-    position ``c - 1``; any other value, or a listed id outside ``1..T``,
-    raises ``GraphError``.  This scans every listed id; extraction reads H
+    position ``c - 1``; any other value, or a listed id that is not an int
+    in ``1..T``, raises ``GraphError``.  This scans every listed id; extraction reads H
     off the seed's per-edge list instead.
     """
     g._check_edge(edge)
@@ -97,7 +97,7 @@ def subgraph_for_edge(
     e1, e2, e3 = store.e1, store.e2, store.e3
     h: set[int] = set()
     for c in triangle_ids:
-        if not 1 <= c <= t:
+        if type(c) is not int or not 1 <= c <= t:
             raise GraphError(f"triangle {c} is not in the listing 1..{t}")
         k = c - 1
         if edge in (e1[k], e2[k], e3[k]):

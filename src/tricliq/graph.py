@@ -70,6 +70,10 @@ class Graph:
     its endpoints ordered, not seen before.  The first pair that fails
     raises the matching ``GraphError`` subclass with ``position`` set to
     its 0-based index.
+
+    The queries take labels as exact ints: ``True`` and ``1.0`` equal 1 but
+    name no vertex or edge, so ``has_edge`` answers ``False`` for them and
+    the other queries raise ``GraphError``.
     """
 
     __slots__ = ("n", "m", "edges", "_up")
@@ -123,6 +127,8 @@ class Graph:
         return range(1, self.n + 1)
 
     def has_edge(self, u: int, v: int) -> bool:
+        if type(u) is not int or type(v) is not int:
+            return False
         if u > v:
             u, v = v, u
         # the range check keeps a label below 1 from indexing ``_up`` from
@@ -130,12 +136,11 @@ class Graph:
         return 1 <= u <= self.n and v in self._up[u]
 
     def edge_id(self, u: int, v: int) -> int:
-        if u > v:
+        if type(u) is int is type(v) and u > v:
             u, v = v, u
-        e = self._up[u].get(v) if 1 <= u <= self.n else None
-        if e is None:
+        if not self.has_edge(u, v):
             raise GraphError(f"({u},{v}) is not an edge")
-        return e
+        return self._up[u][v]
 
     def endpoints(self, e: int) -> tuple[int, int]:
         self._check_edge(e)
@@ -152,11 +157,11 @@ class Graph:
         return nbrs
 
     def _check_vertex(self, v: int) -> None:
-        if not 1 <= v <= self.n:
+        if type(v) is not int or not 1 <= v <= self.n:
             raise VertexRangeError(f"vertex {v} outside 1..{self.n}")
 
     def _check_edge(self, e: int) -> None:
-        if not 1 <= e <= self.m:
+        if type(e) is not int or not 1 <= e <= self.m:
             raise GraphError(f"edge id {e} outside 1..{self.m}")
 
     # -- derived graphs ---------------------------------------------------
@@ -254,11 +259,14 @@ def check_nonseparable(g: Graph) -> NonseparabilityReport:
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff every pair of the given vertices is an edge of ``g``."""
-    vs = sorted(set(vertices))
+    vs = list(vertices)
     if not vs:
         raise EmptyVertexSetError("clique test needs at least one vertex")
+    # each label is checked as given, before a set could merge ``True``
+    # into 1
     for v in vs:
         g._check_vertex(v)
+    vs = sorted(set(vs))
     # the vertices ascend, so each pair is looked up in the edge index
     # dict of its lower vertex
     up = g._up

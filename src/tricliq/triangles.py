@@ -14,11 +14,11 @@ columns and the three edge-id columns, all in that canonical order, with
 a triangle (u, v, w)'s edges in the columns as (u, v), (u, w), (v, w).  Each
 edge's run of triangles extends the columns by ``map`` and ``repeat``
 passes; the trace and the weight vectors read the columns by position.
-``TriangleStore.of`` is the one check of a store against a graph: it admits
-only that order, which ``TriangleStore.inside`` relies on, and only rows
-that are triangles of the graph by the listing's own definition, read off
-the graph's edge index.  A ``Triangle`` is only an output view, built when
-a caller reads the store.
+``TriangleStore.of`` is the one check of a store against a graph: one loop
+over its rows admits only rows of exact ints that are triangles of the
+graph by the listing's own definition, read off the graph's edge index,
+and then only that order, which ``TriangleStore.inside`` relies on.  A
+``Triangle`` is only an output view, built when a caller reads the store.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, compress, islice, repeat
-from operator import and_, eq, lt
+from operator import and_, lt
 from typing import Iterator, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
@@ -68,18 +68,21 @@ class TriangleStore:
     def of(cls, g: Graph, store: TriangleStore) -> TriangleStore:
         """``store`` checked as a store of ``g``'s triangles: the one triangle check.
 
-        The store's seven columns must be of one length, its ids must
-        strictly ascend and its vertex triples strictly ascend, so no
-        triangle is listed twice, as ``enumerate_triangles`` and ``take`` at
-        ascending positions leave it.  Each row must be a triangle of ``g``
-        by definition: the edge index names its pair (u, v) by ``e1``,
-        (u, w) by ``e2`` and (v, w) by ``e3``, which puts its vertices in
-        ``1..g.n``, ascending, and its edge ids in ``1..g.m``.  The trace
-        names removals in position order and finds ids by bisection, and
-        ``inside`` bisects the lowest-vertex column, so any other value, a
-        store with a short column or out of order, or a row that is not a
-        triangle of ``g`` raises ``GraphError``; the last names its first
-        such row.
+        The store's seven columns must be of one length.  Then one loop
+        reads the rows in order, and each must be a triangle of ``g`` by
+        definition: its seven values exact ints (``type(x) is int``, so no
+        ``bool`` or ``float``, though ``True == 1``), and the edge index
+        naming its pair (u, v) by ``e1``, (u, w) by ``e2`` and (v, w) by
+        ``e3``, which puts its vertices in ``1..g.n``, ascending, and its
+        edge ids in ``1..g.m``.  Last, two ``map`` passes over those ints
+        require its ids to strictly ascend and its vertex triples to
+        strictly ascend, so no triangle is listed twice, as
+        ``enumerate_triangles`` and ``take`` at ascending positions leave
+        it.  The trace names removals in position order and finds ids by
+        bisection, and ``inside`` bisects the lowest-vertex column, so any
+        other value, a store with a short column, a row that is not a
+        triangle of ``g`` or a store out of order raises ``GraphError``; a
+        bad row is named, the first one.
         """
         if not isinstance(store, cls):
             raise GraphError("triangles must be a TriangleStore, "
@@ -89,18 +92,22 @@ class TriangleStore:
             raise GraphError("triangle columns differ in length: " + ", ".join(
                 f"{name} {k}" for name, k in zip(cls.__slots__, lengths)))
         ids, us, vs, ws = store.ids, store.us, store.vs, store.ws
+        up, n = g._up, g.n
+        # an int edge id never equals the None a missing pair reads, and
+        # once e1 holds, v is a higher neighbour of u, so up[v] exists
+        for tid, u, v, w, a, b, c in zip(ids, us, vs, ws,
+                                         store.e1, store.e2, store.e3):
+            if not (type(tid) is type(u) is type(v) is type(w) is type(a)
+                    is type(b) is type(c) is int and 0 < u <= n
+                    and (d := up[u]).get(v) == a and d.get(w) == b
+                    and up[v].get(w) == c):
+                raise GraphError(f"triangle {tid!r} with vertices {(u, v, w)} and "
+                                 f"edges {(a, b, c)} is not a triangle of the graph")
         if not all(map(lt, ids, islice(ids, 1, None))):
             raise GraphError("triangle ids must strictly ascend")
         if not all(map(lt, zip(us, vs, ws),
                        islice(zip(us, vs, ws), 1, None))):
             raise GraphError("triangles' vertex triples must strictly ascend")
-        cols = (us, vs, ws, store.e1, store.e2, store.e3)
-        if store and not _are_triangles(g, *cols):
-            tid, u, v, w, *edges = next(
-                row for row in zip(ids, *cols)
-                if not _are_triangles(g, *([x] for x in row[1:])))
-            raise GraphError(f"triangle {tid} with vertices {(u, v, w)} and "
-                             f"edges {tuple(edges)} is not a triangle of the graph")
         return store
 
     def take(self, ks: Sequence[int]) -> TriangleStore:
@@ -204,28 +211,3 @@ def vertex_weight_vector(g: Graph, triangles: TriangleStore) -> tuple[int, ...]:
     counts = Counter(chain(s.us, s.vs, s.ws))
     return tuple(map(counts.get, range(1, g.n + 1), repeat(0)))
 
-
-_NOT_AN_EDGE = object()
-
-
-def _are_triangles(g: Graph, us: Sequence[int], vs: Sequence[int],
-                   ws: Sequence[int], e1: Sequence[int], e2: Sequence[int],
-                   e3: Sequence[int]) -> bool:
-    """Whether every row k of these non-empty columns, ``us`` non-decreasing,
-    is a triangle of ``g``: the edge index names (us[k], vs[k]) by e1[k],
-    (us[k], ws[k]) by e2[k] and (vs[k], ws[k]) by e3[k].
-
-    One ``map`` pass per edge column, in that order.  The guard keeps ``us``
-    in ``1..g.n``, and once the e1 pass holds, each ``vs[k]`` is a higher
-    neighbour of ``us[k]``, so the e3 pass indexes the edge index safely.  A
-    pair that is not an edge reads ``_NOT_AN_EDGE``, which equals no edge
-    value, ``None`` and ``0`` included.
-    """
-    up = g._up
-
-    def named(lows: Sequence[int], highs: Sequence[int], es: Sequence[int]) -> bool:
-        return all(map(eq, map(dict.get, map(up.__getitem__, lows), highs,
-                               repeat(_NOT_AN_EDGE)), es))
-
-    return (1 <= us[0] and us[-1] <= g.n and named(us, vs, e1)
-            and named(us, ws, e2) and named(vs, ws, e3))

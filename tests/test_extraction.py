@@ -77,17 +77,27 @@ class TestSubgraphForEdge:
 
     @pytest.mark.parametrize("ids,listing", [
         ([0], complete(4)), ([-1], complete(4)), ([5], complete(4)),
-        ([1], Graph(3, [(1, 2), (2, 3)])),
-    ], ids=["zero", "negative", "above-T", "empty-store"])
+        ([1], Graph(3, [(1, 2), (2, 3)])), ([1.0], complete(4)),
+        ([True], complete(4)),
+    ], ids=["zero", "negative", "above-T", "empty-store", "float", "bool"])
     def test_ids_outside_the_listing_are_rejected(self, ids, listing):
         # triangle c is read at position c - 1: id 0 read K_4's last
-        # triangle and returned {2, 3, 4}, id -1 its third, and an id past
-        # the end raised IndexError
+        # triangle and returned {2, 3, 4}, id -1 its third, an id past
+        # the end raised IndexError, 1.0 raised TypeError and True read
+        # triangle 1
         tris = enumerate_triangles(listing)
         with pytest.raises(GraphError) as err:
             subgraph_for_edge(listing, [1, *ids], 1, tris)
         assert str(err.value) == (
             f"triangle {ids[0]} is not in the listing 1..{len(tris)}")
+
+    @pytest.mark.parametrize("edge", [1.0, True])
+    def test_an_edge_that_is_not_an_int_is_rejected(self, edge):
+        # 1.0 and True equal edge 1, whose H was returned
+        g = complete(4)
+        with pytest.raises(GraphError) as err:
+            subgraph_for_edge(g, [1], edge, enumerate_triangles(g))
+        assert str(err.value) == f"edge id {edge} outside 1..6"
 
     def test_zero_weight_edge_rejected(self, g3):
         # edge 37 = (10,12) lies on no triangle

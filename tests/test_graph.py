@@ -274,6 +274,32 @@ def test_pair_queries_match_the_edge_list_on_and_off_the_graph(g, rng):
                 assert g.edge_id(u, v) == e
 
 
+class TestLabelsAreExactInts:
+    # ``True`` and ``1.0`` equal 1 but name no vertex or edge; before, they
+    # were read as 1 or raised TypeError, as ``None`` did
+    @pytest.mark.parametrize("query,message", [
+        (lambda g: is_clique(g, [1.0, 2]), "vertex 1.0 outside 1..4"),
+        (lambda g: is_clique(g, [True, 2]), "vertex True outside 1..4"),
+        # a set of the labels would merge True into 1
+        (lambda g: is_clique(g, [1, True]), "vertex True outside 1..4"),
+        (lambda g: g.endpoints(1.0), "edge id 1.0 outside 1..6"),
+        (lambda g: g.endpoints(True), "edge id True outside 1..6"),
+        (lambda g: g.edge_id(1.0, 2), "(1.0,2) is not an edge"),
+        (lambda g: g.edge_id(True, 2), "(True,2) is not an edge"),
+        (lambda g: g.edge_id(None, 2), "(None,2) is not an edge"),
+    ], ids=["clique-float", "clique-bool", "clique-bool-beside-1",
+            "endpoints-float", "endpoints-bool", "edge-id-float",
+            "edge-id-bool", "edge-id-none"])
+    def test_queries_reject_them(self, query, message):
+        with pytest.raises(GraphError) as err:
+            query(Graph(4, K4_PAIRS))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("u,v", [(None, 2), (True, 2), (1.0, 2), (2, 1.0)])
+    def test_has_edge_is_false_for_them(self, u, v):
+        assert Graph(4, K4_PAIRS).has_edge(u, v) is False
+
+
 class TestIsClique:
     def test_g3_published_clique(self, g3):
         assert is_clique(g3.graph, [1, 2, 3, 8, 11])

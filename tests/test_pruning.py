@@ -369,6 +369,51 @@ def test_rows_that_are_not_triangles_of_the_graph_are_rejected(
     assert str(err.value) == message
 
 
+def k4_listing_with(name, value):
+    """K_4's listing with its first row's entry in column ``name`` replaced."""
+    cols = {col: list(getattr(K4_LISTING, col)) for col in TriangleStore.__slots__}
+    cols[name][0] = value
+    return TriangleStore(*cols.values())
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("triangles,message", [
+    (k4_listing_with("vs", None),
+     "triangle 1 with vertices (1, None, 3) and edges (1, 2, 4) is not a "
+     "triangle of the graph"),
+    (k4_listing_with("e1", 1.0),
+     "triangle 1 with vertices (1, 2, 3) and edges (1.0, 2, 4) is not a "
+     "triangle of the graph"),
+    (k4_listing_with("e1", True),
+     "triangle 1 with vertices (1, 2, 3) and edges (True, 2, 4) is not a "
+     "triangle of the graph"),
+    (k4_listing_with("ws", 3.0),
+     "triangle 1 with vertices (1, 2, 3.0) and edges (1, 2, 4) is not a "
+     "triangle of the graph"),
+    (TriangleStore(list(map(str, K4_LISTING.ids)), K4_LISTING.us,
+                   K4_LISTING.vs, K4_LISTING.ws, K4_LISTING.e1,
+                   K4_LISTING.e2, K4_LISTING.e3),
+     "triangle '1' with vertices (1, 2, 3) and edges (1, 2, 4) is not a "
+     "triangle of the graph"),
+    (TriangleStore(list(map(float, K4_LISTING.ids)), K4_LISTING.us,
+                   K4_LISTING.vs, K4_LISTING.ws, K4_LISTING.e1,
+                   K4_LISTING.e2, K4_LISTING.e3),
+     "triangle 1.0 with vertices (1, 2, 3) and edges (1, 2, 4) is not a "
+     "triangle of the graph"),
+    (k4_listing_with("us", True),
+     "triangle 1 with vertices (True, 2, 3) and edges (1, 2, 4) is not a "
+     "triangle of the graph"),
+], ids=["none-vertex", "float-edge", "bool-edge", "float-vertex", "str-ids",
+        "float-ids", "true-vertex"])
+def test_rows_whose_values_are_not_ints_are_rejected(entry, triangles, message):
+    # ``1.0 == 1`` and ``True == 1``, so an edge-index lookup alone lets
+    # such a row through, to be traced, counted, or to fail later with a
+    # TypeError; ``None`` cannot even be compared
+    with pytest.raises(GraphError) as err:
+        ENTRY_POINTS[entry](complete(4), triangles)
+    assert str(err.value) == message
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 16), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 10**6))
 def test_trace_invariants_on_random_graphs(n, p, seed):

@@ -250,8 +250,9 @@ def test_column_counts_match_per_triangle_reference(n, p, seed, data):
 def test_of_accepts_takes_and_names_the_one_corrupted_row(n, p, seed, data):
     # shuffled edges, so edge ids do not follow the pairs' order; a take at
     # ascending positions is accepted as it is, and corrupting one of its
-    # rows, by naming another edge of g in one edge column or by swapping
-    # two edge columns, is rejected naming that row
+    # rows, by naming another edge of g in one edge column, by swapping two
+    # edge columns, or by replacing a value with an equal float, or a 1
+    # with True, is rejected naming that row
     rng = random.Random(seed)
     pairs = [(v, u) if rng.random() < 0.5 else (u, v)
              for u, v in gnp(n, p, seed).edges]
@@ -264,23 +265,27 @@ def test_of_accepts_takes_and_names_the_one_corrupted_row(n, p, seed, data):
     if not ks:
         return
     j = data.draw(st.integers(0, len(ks) - 1))
-    cols = [taken.e1[:], taken.e2[:], taken.e3[:]]
+    # the columns ids, us, vs, ws, e1, e2, e3
+    cols = [list(getattr(taken, name)) for name in TriangleStore.__slots__]
     row = [col[j] for col in cols]
-    if data.draw(st.booleans()):
-        c = data.draw(st.integers(0, 2))
+    corruption = data.draw(st.sampled_from(["other-edge", "swap", "not-an-int"]))
+    if corruption == "other-edge":
+        c = data.draw(st.integers(4, 6))
         row[c] = data.draw(st.integers(1, g.m).filter(lambda e: e != row[c]))
-    else:
-        a, b = data.draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    elif corruption == "swap":
+        a, b = data.draw(st.sampled_from([(4, 5), (4, 6), (5, 6)]))
         row[a], row[b] = row[b], row[a]
-    for col, e in zip(cols, row):
-        col[j] = e
-    bad = TriangleStore(taken.ids, taken.us, taken.vs, taken.ws, *cols)
+    else:
+        c = data.draw(st.integers(0, 6))
+        row[c] = True if row[c] == 1 and data.draw(st.booleans()) else float(row[c])
+    for col, x in zip(cols, row):
+        col[j] = x
+    bad = TriangleStore(*cols)
     with pytest.raises(GraphError) as err:
         TriangleStore.of(g, bad)
-    vertices = (taken.us[j], taken.vs[j], taken.ws[j])
     assert str(err.value) == (
-        f"triangle {taken.ids[j]} with vertices {vertices} and edges "
-        f"{tuple(row)} is not a triangle of the graph")
+        f"triangle {row[0]!r} with vertices {tuple(row[1:4])} and edges "
+        f"{tuple(row[4:])} is not a triangle of the graph")
 
 
 def test_k4_subgraph_ring_sum_is_empty():
