@@ -8,8 +8,12 @@ from them, one int per vertex: the branch-and-bound over positions in its
 ``maghout_cliques`` takes the entirely different Boolean route: expand the
 product of (u or v) clauses over the complement's edges, reduce to minimal
 terms by absorption, and read each maximal clique off as the complement of
-a minimal cover.  Agreement between the routes is part of the test
-contract, so none of them may be reimplemented in terms of another.
+a minimal cover.  It expands the product once per connected component of
+the complement and ORs the components' minimal covers together pairwise:
+components share no vertex, so those unions are already minimal and need
+no absorption across components.  Agreement between the routes is part of
+the test contract, so none of them may be reimplemented in terms of
+another.
 """
 
 from __future__ import annotations
@@ -130,16 +134,50 @@ def maghout_cliques(g: Graph, clause_budget: int = 30) -> tuple[frozenset[int], 
 
     Each non-edge (u,v) of ``g`` contributes a clause (u or v); the product
     of all clauses, multiplied out with absorption after every step, leaves
-    exactly the minimal vertex covers of the complement.  The terms before a
-    step are an antichain, so absorption only has to check each new term
-    against the terms the step keeps unchanged.  The complement of such a
-    cover is a maximal clique.  The expansion is exponential, hence the
-    explicit clause budget.
+    exactly the minimal vertex covers of the complement.  The complement of
+    such a cover is a maximal clique.
+
+    The product is expanded once per connected component of the complement,
+    and the components' covers are combined by pairwise OR.  Clauses of
+    different components share no vertex, so the minimal covers of the
+    whole are exactly the unions of one minimal cover per component.  No
+    absorption is needed across components: one union inside another would
+    be so on each component's vertices, where the covers form an antichain.
+    Within a component the terms before a step are an antichain, so
+    absorption only has to check each new term against the terms the step
+    keeps unchanged.  The expansion is exponential in a component's size,
+    hence the explicit clause budget, which counts the clauses of all of
+    them.
     """
     if g.n * (g.n - 1) // 2 - g.m > clause_budget:
         raise BudgetExceededError("Maghout expansion clauses", clause_budget)
+    clauses = g.complement().edges
+    parent = list(range(g.n + 1))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for u, v in clauses:
+        parent[root(u)] = root(v)
+    components: dict[int, list[tuple[int, int]]] = {}
+    for u, v in clauses:
+        components.setdefault(root(u), []).append((u, v))
     terms = [0]
-    for u, v in g.complement().edges:
+    for component in components.values():
+        covers = _minimal_covers(component)
+        terms = [t | c for t in terms for c in covers]
+    full = ((1 << (g.n + 1)) - 1) & ~1
+    cliques = [frozenset(_bits(full & ~t)) for t in terms]
+    return tuple(sorted(cliques, key=sorted))
+
+
+def _minimal_covers(clauses: Sequence[tuple[int, int]]) -> list[int]:
+    """The minimal terms of the product of (u or v) over ``clauses``, each a
+    vertex bitmask, multiplied out one clause at a time."""
+    terms = [0]
+    for u, v in clauses:
         bu, bv = 1 << u, 1 << v
         # terms is an antichain of minimal terms.  A term meeting {u, v}
         # stays minimal; a split term t|u can only be absorbed by a kept term
@@ -154,6 +192,4 @@ def maghout_cliques(g: Graph, clause_budget: int = 30) -> tuple[frozenset[int], 
                 if not any(r & t == r for r in rest_v):
                     kept.append(t | bv)
         terms = kept
-    full = ((1 << (g.n + 1)) - 1) & ~1
-    cliques = [frozenset(_bits(full & ~t)) for t in terms]
-    return tuple(sorted(cliques, key=sorted))
+    return terms

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from tricliq import (
     BudgetExceededError,
     Graph,
     complete,
+    complete_multipartite,
     enumerate_maximal_cliques,
     maghout_cliques,
     max_clique_exact,
@@ -106,11 +108,16 @@ class TestMaghout:
         assert len(cliques) == 27
         assert frozenset({3, 6, 9}) in cliques
 
-    @pytest.mark.parametrize("k,clauses", [(1, 3), (2, 6), (3, 9)])
+    @pytest.mark.parametrize("k,clauses", [(1, 3), (2, 6), (3, 9), (4, 12),
+                                           (5, 15), (6, 18), (7, 21)])
     def test_clause_counts(self, k, clauses):
+        # one triangle of clauses per triad, so 3^k cliques of size k
         g = moon_moser(k)
         assert g.complement().m == clauses
-        assert len(maghout_cliques(g)) == 3 ** k
+        cliques = maghout_cliques(g)
+        assert len(cliques) == 3 ** k
+        assert all(len(c) == k for c in cliques)
+        assert cliques == enumerate_maximal_cliques(g)
 
     def test_complete_graph_trivial_product(self):
         assert maghout_cliques(complete(4)) == (frozenset({1, 2, 3, 4}),)
@@ -137,6 +144,28 @@ class TestMaghout:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_clause_budget_boundary_on_a_split_complement(self):
+        # the complement is one clique per part, and the budget counts the
+        # clauses of every component
+        at_budget = complete_multipartite([5, 5, 5])
+        over_budget = complete_multipartite([2, 5, 5, 5])
+        assert at_budget.complement().m == 30
+        assert over_budget.complement().m == 31
+        assert len(maghout_cliques(at_budget)) == 5 * 5 * 5
+        with pytest.raises(BudgetExceededError) as err:
+            maghout_cliques(over_budget)
+        assert err.value.budget == 30
+        assert len(maghout_cliques(over_budget, clause_budget=31)) == 2 * 5 * 5 * 5
+
+    @pytest.mark.parametrize("parts", [[3, 4, 5, 3, 4], [2, 3, 4, 4, 3, 2, 2]])
+    def test_complete_multipartite_family_counts(self, parts):
+        # one clique per choice of a vertex from each part
+        g = complete_multipartite(parts)
+        cliques = maghout_cliques(g)
+        assert len(cliques) == math.prod(parts)
+        assert all(len(c) == len(parts) for c in cliques)
+        assert cliques == enumerate_maximal_cliques(g)
+
     def test_agrees_with_enumeration_on_fixtures(self, g1, g2, g3):
         for fx in (g1, g2, g3):
             mag = maghout_cliques(fx.graph, clause_budget=60)
@@ -157,6 +186,29 @@ def few_non_edges(draw, max_n, max_non_edges):
 @settings(max_examples=200, deadline=None)
 @given(few_non_edges(12, 14))
 def test_antichain_absorption_matches_full_absorption(g):
+    assert maghout_cliques(g) == reference_maghout(g)
+
+
+@st.composite
+def joins(draw, max_part):
+    """The join of 2-3 graphs on 1..max_part vertices each: every pair
+    across parts is an edge, so the complement is the disjoint union of the
+    parts' complements and has components of more than one edge."""
+    parts = draw(st.lists(graphs(max_part), min_size=2, max_size=3))
+    part_of: list[int] = []
+    inner = set()
+    for i, h in enumerate(parts):
+        offset = len(part_of)
+        part_of += [i] * h.n
+        inner |= {(u + offset, v + offset) for u, v in h.edges}
+    n = len(part_of)
+    return Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2)
+                     if part_of[u - 1] != part_of[v - 1] or (u, v) in inner])
+
+
+@settings(max_examples=200, deadline=None)
+@given(joins(5))
+def test_expansion_per_component_matches_full_absorption(g):
     assert maghout_cliques(g) == reference_maghout(g)
 
 

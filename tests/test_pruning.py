@@ -16,10 +16,12 @@ from tricliq import (
     enumerate_triangles,
     extract_max_clique,
     full_trace,
+    max_clique_exact,
     moon_moser,
     subgraph_for_edge,
     vertex_weight_vector,
 )
+from tricliq import pruning
 from tricliq.triangles import TriangleStore
 
 from conftest import corpus_graph, gnp
@@ -514,3 +516,43 @@ def test_streaming_holds_one_record_not_the_log():
         tracemalloc.stop()
     assert len(written) == len(trace.records) + 1 and sum(written) > 5 << 20
     assert peak <= 4 << 20
+
+
+def omega_bound(trace) -> int:
+    """max_i MIN_i + 2, or 2 when there are no records: an upper bound on omega.
+
+    Take a maximum clique K of size L >= 3.  Before the first iteration that
+    removes a triangle inside K, each edge of K lies on at least L - 2
+    surviving triangles; that iteration removes it through one of its own
+    edges at minimum weight, so its MIN is at least L - 2.
+    """
+    return max((r.min_weight for r in trace.records), default=0) + 2
+
+
+def test_omega_bound_on_the_corpus():
+    for i in range(1000):
+        g = corpus_graph(i)
+        omega = max_clique_exact(g).omega
+        for mode in MODES:
+            assert omega <= omega_bound(full_trace(g, mode=mode)), (i, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_sets(), st.sampled_from(MODES))
+def test_omega_bound_on_random_graphs(g, mode):
+    assert max_clique_exact(g).omega <= omega_bound(full_trace(g, mode=mode))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_omega_bound_catches_a_peel_reporting_min_one_too_small(n, monkeypatch):
+    # K_n has one iteration with MIN = n - 2, so the bound is tight there
+    g = complete(n)
+    for mode in MODES:
+        assert omega_bound(full_trace(g, mode=mode)) == n
+    record = pruning.IterationRecord
+    monkeypatch.setattr(pruning, "IterationRecord", lambda **fields: record(
+        **{**fields, "min_weight": fields["min_weight"] - 1}))
+    for mode in MODES:
+        trace = full_trace(g, mode=mode)
+        assert trace.records[0].min_weight == n - 3
+        assert not max_clique_exact(g).omega <= omega_bound(trace)
