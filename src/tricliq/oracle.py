@@ -3,8 +3,10 @@
 ``max_clique_exact`` and ``enumerate_maximal_cliques`` are a bitset
 branch-and-bound and a pivoting Bron-Kerbosch enumeration.  Each call asks
 the graph once for its neighbour lists and builds its own neighbour bitsets
-from them, one int per vertex: the branch-and-bound over positions in its
-(-degree, label) vertex order, Bron-Kerbosch over vertex labels.
+from them.  The branch-and-bound keeps one int per vertex over positions in
+its (-degree, label) vertex order.  Bron-Kerbosch builds its bitsets per
+top-level branch, over the branch vertex's neighbours in label order, so
+they are as wide as that vertex's degree rather than n bits.
 ``maghout_cliques`` takes the entirely different Boolean route: expand the
 product of (u or v) clauses over the complement's edges, reduce to minimal
 terms by absorption, and read each maximal clique off as the complement of
@@ -96,20 +98,33 @@ def max_clique_exact(g: Graph, budget: int = 10_000_000) -> OracleResult:
 def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[frozenset[int], ...]:
     """All maximal cliques via Bron-Kerbosch with a max-degree pivot.
 
+    At the root P holds every vertex, so the pivot is a vertex of highest
+    degree, lowest label on ties, and the root branches on the vertices
+    outside its neighbourhood, lowest first.  Each such branch v searches
+    only N(v): its d neighbours are relabelled, in ascending label order, to
+    bit positions 0..d-1, the branch's neighbour bitsets, P and X are ints
+    over those positions, and R is a tuple of labels.  The relabelling keeps
+    the label order, so every pivot, visit and budget trip is that of the
+    search over all vertex labels, while no bitset is wider than d bits.
+
     Output is sorted by vertex tuple, so it is a canonical value independent
     of pivot choices.
     """
-    adj = _neighbour_masks(g._neighbour_lists(), range(g.n + 1))
-    found: list[frozenset[int]] = []
-    visited = 0
+    nbrs = g._neighbour_lists()
+    found: list[tuple[int, ...]] = []
+    visited = 1  # the root
+    if visited > budget:
+        raise BudgetExceededError("maximal-clique enumeration", budget)
+    labels: list[int] = []  # the current branch's neighbours, ascending
+    adj: list[int] = []  # adj[i]: the neighbours of labels[i] among labels
 
-    def bk(r: int, p: int, x: int) -> None:
+    def bk(r: tuple[int, ...], p: int, x: int) -> None:
         nonlocal visited
         visited += 1
         if visited > budget:
             raise BudgetExceededError("maximal-clique enumeration", budget)
         if not p and not x:
-            found.append(frozenset(_bits(r)))
+            found.append(tuple(sorted(r)))
             return
         pivot = -1
         pivot_score = -1
@@ -120,13 +135,29 @@ def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[froze
         ext = p & ~adj[pivot]
         for v in _bits(ext):
             bit = 1 << v
-            bk(r | bit, p & adj[v], x & adj[v])
+            bk(r + (labels[v],), p & adj[v], x & adj[v])
             p &= ~bit
             x |= bit
 
-    all_vertices = ((1 << (g.n + 1)) - 1) & ~1
-    bk(0, all_vertices, 0)
-    return tuple(sorted(found, key=sorted))
+    degree = list(map(len, nbrs))
+    top = max(degree)
+    power = [1 << i for i in range(top)]
+    skip = set(nbrs[degree.index(top, 1)])  # the root's pivot's neighbours
+    done: set[int] = set()  # the root's X: branch vertices already searched
+    for v in range(1, g.n + 1):
+        if v in skip:
+            continue
+        labels = sorted(nbrs[v])
+        bit = dict(zip(labels, power))
+        local = bit.keys()
+        # on a sparse graph most neighbours of v share no neighbour with it
+        adj = [0 if local.isdisjoint(nu) else sum(map(bit.__getitem__, local & nu))
+               for nu in map(nbrs.__getitem__, labels)]
+        x = sum(map(bit.__getitem__, local & done))
+        bk((v,), ((1 << len(labels)) - 1) ^ x, x)
+        done.add(v)
+    found.sort()
+    return tuple(map(frozenset, found))
 
 
 def maghout_cliques(g: Graph, clause_budget: int = 30) -> tuple[frozenset[int], ...]:
@@ -169,8 +200,9 @@ def maghout_cliques(g: Graph, clause_budget: int = 30) -> tuple[frozenset[int], 
         covers = _minimal_covers(component)
         terms = [t | c for t in terms for c in covers]
     full = ((1 << (g.n + 1)) - 1) & ~1
-    cliques = [frozenset(_bits(full & ~t)) for t in terms]
-    return tuple(sorted(cliques, key=sorted))
+    cliques = [tuple(_bits(full & ~t)) for t in terms]
+    cliques.sort()
+    return tuple(map(frozenset, cliques))
 
 
 def _minimal_covers(clauses: Sequence[tuple[int, int]]) -> list[int]:

@@ -1,11 +1,15 @@
-"""List-based exact oracles: the references the bitset oracles are held to.
+"""Plain exact oracles: the references the library's oracles are held to.
 
 ``reference_max_clique`` is the branch-and-bound that filters Python lists
-of vertex labels, whose top level costs O(n^2).  ``reference_maghout``
-multiplies out the clause product and reduces the whole expanded term list
-to its minimal terms after every step with ``absorb_masks``, comparing every
-pair of terms.  Both define the results and counters the library must keep,
-so the tests run them only on small graphs.
+of vertex labels, whose top level costs O(n^2).  ``reference_bron_kerbosch``
+is the pivoting Bron-Kerbosch over one n-bit neighbour mask per vertex,
+indexed by vertex label, and returns its visit count beside the cliques; the
+library searches each top-level branch over that vertex's neighbourhood
+alone and must visit the same nodes.  ``reference_maghout`` multiplies out
+the clause product and reduces the whole expanded term list to its minimal
+terms after every step with ``absorb_masks``, comparing every pair of terms.
+All three define the results and counters the library must keep, so the
+tests run them only on small graphs.
 """
 
 from __future__ import annotations
@@ -36,6 +40,39 @@ def reference_max_clique(g: Graph, budget: int = 10_000_000) -> OracleResult:
 
     expand([], order)
     return OracleResult(frozenset(best), len(best), visited, "branch-and-bound")
+
+
+def reference_bron_kerbosch(
+    g: Graph, budget: int = 10_000_000
+) -> tuple[tuple[frozenset[int], ...], int]:
+    """All maximal cliques, sorted by vertex tuple, and the number of search
+    nodes visited, by Bron-Kerbosch over label bitmasks: the pivot is the
+    vertex of P | X with the most neighbours in P, lowest label on ties, and
+    the branches are taken lowest label first."""
+    adj = [0] + [sum(1 << u for u in neighbors(g, v)) for v in g.vertices()]
+    found: list[frozenset[int]] = []
+    visited = 0
+
+    def bits(mask: int) -> list[int]:
+        return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+    def bk(r: int, p: int, x: int) -> None:
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise BudgetExceededError("maximal-clique enumeration", budget)
+        if not p and not x:
+            found.append(frozenset(bits(r)))
+            return
+        pivot = max(bits(p | x), key=lambda u: ((adj[u] & p).bit_count(), -u))
+        for v in bits(p & ~adj[pivot]):
+            bit = 1 << v
+            bk(r | bit, p & adj[v], x & adj[v])
+            p &= ~bit
+            x |= bit
+
+    bk(0, sum(1 << v for v in g.vertices()), 0)
+    return tuple(sorted(found, key=sorted)), visited
 
 
 def absorb_masks(masks: list[int]) -> list[int]:

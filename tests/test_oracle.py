@@ -16,9 +16,14 @@ from tricliq import (
     moon_moser,
 )
 
-from conftest import gnp
+from conftest import corpus_graph, gnp
 from graph_reference import neighbors
-from oracle_reference import absorb_masks, reference_maghout, reference_max_clique
+from oracle_reference import (
+    absorb_masks,
+    reference_bron_kerbosch,
+    reference_maghout,
+    reference_max_clique,
+)
 
 
 class TestEnumeration:
@@ -51,6 +56,19 @@ class TestEnumeration:
     def test_budget(self, g4):
         with pytest.raises(BudgetExceededError):
             enumerate_maximal_cliques(g4.graph, budget=10)
+
+    def test_a_large_cycle_costs_memory_linear_in_the_graph(self):
+        # C_20000: each branch's bitsets span the branch vertex's two
+        # neighbours; one n-bit neighbour mask per vertex peaked at 33.3 MiB
+        g = Graph(20000, [(v, v % 20000 + 1) for v in range(1, 20001)])
+        tracemalloc.start()
+        try:
+            cliques = enumerate_maximal_cliques(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cliques) == 20000 and all(len(c) == 2 for c in cliques)
+        assert peak <= 16 << 20
 
 
 class TestMaxClique:
@@ -210,6 +228,43 @@ def joins(draw, max_part):
 @given(joins(5))
 def test_expansion_per_component_matches_full_absorption(g):
     assert maghout_cliques(g) == reference_maghout(g)
+
+
+@st.composite
+def sparse_graphs(draw, max_n):
+    """A sparse graph: at most 2n edges on 1..n, for n up to max_n."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = set()
+    if pairs:
+        edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
+    return Graph(n, sorted(edges))
+
+
+def assert_enumeration_matches_visit_reference(g: Graph) -> None:
+    # same search tree: the same cliques in the same order, and the budget
+    # trips at exactly the node where the reference's does
+    cliques, visited = reference_bron_kerbosch(g)
+    assert enumerate_maximal_cliques(g, budget=visited) == cliques
+    with pytest.raises(BudgetExceededError):
+        reference_bron_kerbosch(g, budget=visited - 1)
+    with pytest.raises(BudgetExceededError):
+        enumerate_maximal_cliques(g, budget=visited - 1)
+
+
+def test_enumeration_matches_visit_reference_on_the_corpus_slice():
+    # every seventh graph: each size 5..24 and each density 0.3/0.5/0.7
+    for i in range(0, 1000, 7):
+        assert_enumeration_matches_visit_reference(corpus_graph(i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(16), joins(5), sparse_graphs(40)), st.data())
+def test_enumeration_matches_visit_reference(g, data):
+    # the same graph with its edges listed in any order, so that a vertex's
+    # neighbours come in no particular order either
+    g = Graph(g.n, data.draw(st.permutations(g.edges)))
+    assert_enumeration_matches_visit_reference(g)
 
 
 def mask(vertices) -> int:
