@@ -65,26 +65,26 @@ class Graph:
     from its higher neighbours to edge ids (``_up[0]`` is empty).
 
     ``pairs`` may be any iterable, a one-shot iterator included; it is read
-    once.  Each pair is checked as it is read: both endpoints in ``1..n``
-    (the message shows the pair as given), then no self-loop, then, with
-    its endpoints ordered, not seen before.  The first pair that fails
+    once.  Each pair is checked as it is read: both endpoints exact ints in
+    ``1..n`` (the message shows the pair as given), then no self-loop, then,
+    with its endpoints ordered, not seen before.  The first pair that fails
     raises the matching ``GraphError`` subclass with ``position`` set to
-    its 0-based index.
+    its 0-based index.  ``n`` must be an exact int too.
 
-    The queries take labels as exact ints: ``True`` and ``1.0`` equal 1 but
-    name no vertex or edge, so ``has_edge`` answers ``False`` for them and
-    the other queries raise ``GraphError``.
+    Labels are exact ints: ``True`` and ``1.0`` equal 1 but name no vertex
+    or edge, so a pair holding one is out of range, ``has_edge`` answers
+    ``False`` for them and the other queries raise ``GraphError``.
     """
 
     __slots__ = ("n", "m", "edges", "_up")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
-        if n < 1:
-            raise VertexRangeError(f"vertex count must be positive, got {n}")
+        if type(n) is not int or n < 1:
+            raise VertexRangeError(f"vertex count must be a positive int, got {n!r}")
         edges: list[tuple[int, int]] = []
         up: list[dict[int, int]] = [{} for _ in range(n + 1)]
         for i, (u, v) in enumerate(pairs):
-            if not (1 <= u <= n and 1 <= v <= n):
+            if not (type(u) is int is type(v) and 1 <= u <= n and 1 <= v <= n):
                 exc: GraphError = VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
             elif u == v:
                 exc = SelfLoopError(f"self-loop at vertex {u}")

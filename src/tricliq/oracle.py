@@ -2,20 +2,15 @@
 
 ``max_clique_exact`` and ``enumerate_maximal_cliques`` are a bitset
 branch-and-bound and a pivoting Bron-Kerbosch enumeration.  Each call asks
-the graph once for its neighbour lists and builds its own neighbour bitsets
-from them.  The branch-and-bound keeps one int per vertex over positions in
-its (-degree, label) vertex order.  Bron-Kerbosch builds its bitsets per
-top-level branch, over the branch vertex's neighbours in label order, so
-they are as wide as that vertex's degree rather than n bits.
+the graph once for its neighbour lists and searches each of the root's
+branches over bitsets from ``_local_masks``, one bit per neighbour of the
+branch vertex (per later one in the branch-and-bound), never n bits wide.
 ``maghout_cliques`` takes the entirely different Boolean route: expand the
-product of (u or v) clauses over the complement's edges, reduce to minimal
-terms by absorption, and read each maximal clique off as the complement of
-a minimal cover.  It expands the product once per connected component of
-the complement and ORs the components' minimal covers together pairwise:
-components share no vertex, so those unions are already minimal and need
-no absorption across components.  Agreement between the routes is part of
-the test contract, so none of them may be reimplemented in terms of
-another.
+product of (u or v) clauses over the complement's edges, one connected
+component of the complement at a time, reduce to minimal terms by
+absorption, and read each maximal clique off as the complement of a
+minimal cover.  Agreement between the routes is part of the test
+contract, so none of them may be reimplemented in terms of another.
 """
 
 from __future__ import annotations
@@ -49,32 +44,36 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _neighbour_masks(nbrs: Sequence[Sequence[int]],
-                     position: Sequence[int]) -> list[int]:
-    """Neighbour bitsets over vertex positions: entry ``position[v]`` has bit
-    ``position[u]`` set for each u in ``nbrs[v]``, the neighbours of v."""
-    masks = [0] * len(nbrs)
-    for v in range(1, len(nbrs)):
-        masks[position[v]] = sum(1 << position[u] for u in nbrs[v])
-    return masks
+def _local_masks(labels: Sequence[int], nbrs: Sequence[Sequence[int]],
+                 power: Sequence[int]) -> tuple[dict[int, int], list[int]]:
+    """Bits for one branch: ``labels[i]`` gets ``power[i]``.  Returns that map
+    and, per label, the bits of its ``nbrs`` entry among ``labels``."""
+    bit = dict(zip(labels, power))
+    local = bit.keys()
+    # on a sparse graph most of these vertices share no neighbour
+    return bit, [0 if local.isdisjoint(nu) else sum(map(bit.__getitem__, local & nu))
+                 for nu in map(nbrs.__getitem__, labels)]
 
 
 def max_clique_exact(g: Graph, budget: int = 10_000_000) -> OracleResult:
     """A maximum clique by branch and bound over degree-ordered candidates.
 
-    Vertices are relabelled to their positions in (-degree, label) order and
-    each candidate set is one int over those positions.  Candidates are
-    tried lowest bit first, and a branch is cut once the current clique plus
-    every remaining candidate cannot beat the best clique found.
+    Vertices are tried in (-degree, label) order, and a branch is cut once
+    the current clique plus every remaining candidate cannot beat the best
+    found.  The root's branch on v searches v's later neighbours alone, so
+    its visits and budget trips are those of one search over all n vertices.
     """
-    neighbours = g._neighbour_lists()
-    order = sorted(g.vertices(), key=lambda v: (-len(neighbours[v]), v))
-    position = [0] * (g.n + 1)
-    for i, v in enumerate(order):
-        position[v] = i
-    nbrs = _neighbour_masks(neighbours, position)
+    nbrs = g._neighbour_lists()
+    order = sorted(g.vertices(), key=lambda v: (-len(nbrs[v]), v))
+    position = {v: i for i, v in enumerate(order)}
+    # later[i]: the positions after i of the neighbours of order[i], ascending
+    later = [sorted(filter(i.__lt__, map(position.__getitem__, nbrs[v])))
+             for i, v in enumerate(order)]
+    power = [1 << i for i in range(max(map(len, later)))]
     best: list[int] = []
     visited = 0
+    labels: list[int] = []  # the current branch's candidates: later[i]
+    adj: list[int] = []  # adj[j]: the bits of later[labels[j]] among labels
 
     def expand(current: list[int], candidates: int) -> None:
         nonlocal best, visited
@@ -89,10 +88,17 @@ def max_clique_exact(g: Graph, budget: int = 10_000_000) -> OracleResult:
             low = candidates & -candidates
             candidates ^= low
             i = low.bit_length() - 1
-            expand(current + [order[i]], candidates & nbrs[i])
+            expand(current + [labels[i]], candidates & adj[i])
 
-    expand([], (1 << g.n) - 1)
-    return OracleResult(frozenset(best), len(best), visited, "branch-and-bound")
+    expand([], 0)  # the root's visit; its branches follow
+    for i, labels in enumerate(later):
+        if g.n - i <= len(best):
+            break
+        if 1 + len(labels) > len(best):  # else expand cuts it before reading adj
+            adj = _local_masks(labels, later, power)[1]
+        expand([i], (1 << len(labels)) - 1)
+    return OracleResult(frozenset(map(order.__getitem__, best)), len(best),
+                        visited, "branch-and-bound")
 
 
 def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[frozenset[int], ...]:
@@ -101,11 +107,9 @@ def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[froze
     At the root P holds every vertex, so the pivot is a vertex of highest
     degree, lowest label on ties, and the root branches on the vertices
     outside its neighbourhood, lowest first.  Each such branch v searches
-    only N(v): its d neighbours are relabelled, in ascending label order, to
-    bit positions 0..d-1, the branch's neighbour bitsets, P and X are ints
-    over those positions, and R is a tuple of labels.  The relabelling keeps
-    the label order, so every pivot, visit and budget trip is that of the
-    search over all vertex labels, while no bitset is wider than d bits.
+    only N(v), in label order: P and X are bitsets over it, and R is a tuple
+    of labels.  So every pivot, visit and budget trip is that of the search
+    over all vertex labels.
 
     Output is sorted by vertex tuple, so it is a canonical value independent
     of pivot choices.
@@ -148,12 +152,8 @@ def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[froze
         if v in skip:
             continue
         labels = sorted(nbrs[v])
-        bit = dict(zip(labels, power))
-        local = bit.keys()
-        # on a sparse graph most neighbours of v share no neighbour with it
-        adj = [0 if local.isdisjoint(nu) else sum(map(bit.__getitem__, local & nu))
-               for nu in map(nbrs.__getitem__, labels)]
-        x = sum(map(bit.__getitem__, local & done))
+        bit, adj = _local_masks(labels, nbrs, power)
+        x = sum(map(bit.__getitem__, bit.keys() & done))
         bk((v,), ((1 << len(labels)) - 1) ^ x, x)
         done.add(v)
     found.sort()

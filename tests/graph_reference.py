@@ -27,10 +27,11 @@ from tricliq import (
 
 def _raise_first_rejected(n: int, pairs: list[tuple[int, int]]) -> None:
     """Raise the error for the first pair ``Graph(n, pairs)`` rejects: an
-    endpoint outside 1..n, a self-loop, or a pair seen before."""
+    endpoint that is not an exact int in 1..n, a self-loop, or a pair seen
+    before."""
     seen = set()
     for i, (u, v) in enumerate(pairs):
-        if not (1 <= u <= n and 1 <= v <= n):
+        if not (type(u) is int and type(v) is int and 1 <= u <= n and 1 <= v <= n):
             exc: GraphError = VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
         elif u == v:
             exc = SelfLoopError(f"self-loop at vertex {u}")

@@ -3,9 +3,9 @@
 ``reference_max_clique`` is the branch-and-bound that filters Python lists
 of vertex labels, whose top level costs O(n^2).  ``reference_bron_kerbosch``
 is the pivoting Bron-Kerbosch over one n-bit neighbour mask per vertex,
-indexed by vertex label, and returns its visit count beside the cliques; the
-library searches each top-level branch over that vertex's neighbourhood
-alone and must visit the same nodes.  ``reference_maghout`` multiplies out
+indexed by vertex label, and returns its visit count beside the cliques.
+The library runs both searches per top-level branch, over that vertex's
+(later) neighbours alone, and must visit the same nodes as each.  ``reference_maghout`` multiplies out
 the clause product and reduces the whole expanded term list to its minimal
 terms after every step with ``absorb_masks``, comparing every pair of terms.
 All three define the results and counters the library must keep, so the

@@ -73,7 +73,8 @@ class TestConstruction:
 def pair_lists(draw):
     """``(n, pairs)`` with endpoints in 0..n+1 given in either order:
     self-loops, repeats in both directions and several bad pairs, or, half
-    the time, only the pairs the reference accepts."""
+    the time, only the pairs the reference accepts; and, half the time, one
+    pair inserted anywhere with a label that is no exact int."""
     n = draw(st.integers(1, 6))
     ends = st.integers(0, n + 1)
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
@@ -85,6 +86,10 @@ def pair_lists(draw):
                 seen.add(key)
                 kept.append((u, v))
         pairs = kept
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from([True, False, 1.0, 2.5, None]))
+        pair = (odd, draw(ends)) if draw(st.booleans()) else (draw(ends), odd)
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
     return n, pairs
 
 
@@ -298,6 +303,25 @@ class TestLabelsAreExactInts:
     @pytest.mark.parametrize("u,v", [(None, 2), (True, 2), (1.0, 2), (2, 1.0)])
     def test_has_edge_is_false_for_them(self, u, v):
         assert Graph(4, K4_PAIRS).has_edge(u, v) is False
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([(True, 2)], "edge (True,2) outside 1..3"),
+        ([(1, 2), (1, 2.5)], "edge (1,2.5) outside 1..3"),
+        ([(1, 3), (1.0, 2)], "edge (1.0,2) outside 1..3"),
+    ], ids=["bool", "fraction", "float"])
+    def test_construction_rejects_them_in_pairs(self, pairs, message):
+        # before, (True, 2) built an edge written out as "True 2" and (1, 2.5)
+        # an edge (1, 2.5), while (1.0, 2) raised TypeError
+        with pytest.raises(VertexRangeError) as err:
+            Graph(3, pairs)
+        assert str(err.value) == message
+        assert err.value.position == len(pairs) - 1
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"])
+    def test_construction_rejects_them_as_the_vertex_count(self, n):
+        with pytest.raises(VertexRangeError) as err:
+            Graph(n, [])
+        assert str(err.value) == f"vertex count must be a positive int, got {n!r}"
 
 
 class TestIsClique:

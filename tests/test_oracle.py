@@ -92,6 +92,21 @@ class TestMaxClique:
     def test_reports_nodes(self, g3):
         assert max_clique_exact(g3.graph).nodes_visited > 0
 
+    def test_a_large_cycle_costs_memory_linear_in_the_graph(self):
+        # C_20000: the root's branch on v spans v's later neighbours; one
+        # n-bit neighbour mask per vertex peaked at 29.6 MiB.  The root
+        # visits 1, the branch on 1 finds an edge (2 more) and the branches
+        # on the next 19997 vertices are cut at their first bound check
+        g = Graph(20000, [(v, v % 20000 + 1) for v in range(1, 20001)])
+        tracemalloc.start()
+        try:
+            result = max_clique_exact(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.omega, result.nodes_visited) == (2, 20000)
+        assert peak <= 8 << 20
+
 
 @st.composite
 def graphs(draw, max_n):
@@ -100,22 +115,6 @@ def graphs(draw, max_n):
     pairs = list(combinations(range(1, n + 1), 2))
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [pq for pq, keep in zip(pairs, present) if keep])
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs(16))
-def test_bitset_search_matches_list_reference(g):
-    # same search tree: same clique, same size, same node count, and the
-    # budget trips at exactly the same node
-    ref = reference_max_clique(g)
-    got = max_clique_exact(g)
-    assert (got.vertices, got.omega, got.nodes_visited) == \
-        (ref.vertices, ref.omega, ref.nodes_visited)
-    assert max_clique_exact(g, budget=ref.nodes_visited) == got
-    with pytest.raises(BudgetExceededError):
-        reference_max_clique(g, budget=ref.nodes_visited - 1)
-    with pytest.raises(BudgetExceededError):
-        max_clique_exact(g, budget=ref.nodes_visited - 1)
 
 
 class TestMaghout:
@@ -265,6 +264,49 @@ def test_enumeration_matches_visit_reference(g, data):
     # neighbours come in no particular order either
     g = Graph(g.n, data.draw(st.permutations(g.edges)))
     assert_enumeration_matches_visit_reference(g)
+
+
+def assert_search_matches_list_reference(g: Graph) -> None:
+    # same search tree: same clique, same size, same node count, and the
+    # budget trips at exactly the same node
+    ref = reference_max_clique(g)
+    got = max_clique_exact(g)
+    assert (got.vertices, got.omega, got.nodes_visited) == \
+        (ref.vertices, ref.omega, ref.nodes_visited)
+    assert max_clique_exact(g, budget=ref.nodes_visited) == got
+    with pytest.raises(BudgetExceededError):
+        reference_max_clique(g, budget=ref.nodes_visited - 1)
+    with pytest.raises(BudgetExceededError):
+        max_clique_exact(g, budget=ref.nodes_visited - 1)
+
+
+def test_bitset_search_matches_list_reference_on_the_corpus_slice():
+    # every seventh graph: each size 5..24 and each density 0.3/0.5/0.7
+    for i in range(0, 1000, 7):
+        assert_search_matches_list_reference(corpus_graph(i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(16), joins(5), sparse_graphs(40)), st.data())
+def test_bitset_search_matches_list_reference(g, data):
+    # the edges in any order, so that neighbour lists come unsorted
+    g = Graph(g.n, data.draw(st.permutations(g.edges)))
+    assert_search_matches_list_reference(g)
+
+
+def test_a_branch_cut_at_its_first_bound_still_counts_its_visit():
+    # K_3 on 1..3 beside the edges 4-5 and 6-7: after the branch on 1 finds
+    # {1, 2, 3} (visits 2-4), the branches on 2, 3 and 4 have too few later
+    # neighbours to beat it and build nothing, but each is visits 5, 6, 7
+    g = Graph(7, [(1, 2), (1, 3), (2, 3), (4, 5), (6, 7)])
+    assert max_clique_exact(g) == reference_max_clique(g)
+    assert max_clique_exact(g).nodes_visited == 7
+    for budget in (4, 5, 6):
+        with pytest.raises(BudgetExceededError):
+            reference_max_clique(g, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            max_clique_exact(g, budget=budget)
+    assert max_clique_exact(g, budget=7).vertices == {1, 2, 3}
 
 
 def mask(vertices) -> int:
