@@ -113,7 +113,7 @@ def cmd_trace(args) -> int:
         edges = ",".join(map(str, r.min_edges))
         print(f"{r.index}  {r.min_weight}  {r.max_weight}  "
               f"{alive}  {edges}")
-        alive -= len(r.removed)
+        alive -= r.removed_count
     print(f"main iteration: {trace.main_index}")
     return 0
 

@@ -9,11 +9,12 @@ the main iteration; clique extraction starts from it.
 The loop is the support-count peel of truss decomposition (Wang & Cheng,
 "Truss decomposition in massive networks", PVLDB 2012), and ``full_trace``
 runs it the same way: each edge's triangle list is built once, and edges sit
-in one bucket per weight.  An iteration takes the minimum bucket, removes the
-live triangles on those edges' lists, and moves each of the three edges of a
-removed triangle one bucket down.  Every edge list is scanned once, so a
-trace costs O(T + m) bucket and list steps plus the sorting of each
-iteration's minimum edges and removals, where T is the triangle count.
+in one bucket per weight.  An iteration takes the minimum bucket and removes
+the live triangles on those edges' lists, each in one step: it is marked with
+its iteration in ``at``, and its three edges move one bucket down.  Every
+edge list is scanned once, so a trace costs O(T + m) bucket and list steps
+plus the sorting of each iteration's minimum edges, where T is the triangle
+count.
 
 The peel runs on the columns of a ``TriangleStore`` and handles each
 triangle by its position: the per-edge lists are built from the three
@@ -24,14 +25,15 @@ the caller passes; extraction passes each level's store of the triangles
 inside H, which costs in proportion to that store, not to the graph's
 triangle count.
 
-Records keep only what each iteration decided: MIN, MAX, the minimum edges
-and the removed triangles.  An iteration's surviving ids and weight vector
-follow from the removals before it; they are rebuilt when read, so a caller
-pays for them only when it asks.  Weights come from one decrement replay,
-which a record's ``weights`` and the JSON log both read.  The per-edge
-triangle lists outlive the peel: ``IterationRecord.vertices_on`` reads a
-seed edge's surviving triangles off its list in time proportional to the
-edge's weight, not T, and that is the candidate subgraph extraction grows.
+Records keep only what each iteration decided: MIN, MAX and the minimum
+edges.  They hold no removal lists: ``at`` is the one record of removals,
+and a record's ``removed`` ids are read off ``at`` grouped by iteration, a
+grouping built once per trace.  An iteration's surviving ids are rebuilt
+from ``at`` when read, so a caller pays for them only when it asks, and the
+JSON log's weights come from one decrement replay.  The per-edge lists
+outlive the peel: ``IterationRecord.vertices_on`` reads a seed edge's
+surviving triangles off its list in time proportional to the edge's weight,
+not T, and that is the candidate subgraph extraction grows.
 
 The JSON log has one weight vector per record, O(records * m) numbers.
 ``Trace.write_json`` is the one writer of its format: it writes the log one
@@ -46,7 +48,7 @@ import json
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from operator import le
 from typing import Callable, Iterator
 
@@ -70,7 +72,7 @@ class _Removals:
     positions of the triangles on edge ``e``.
     """
 
-    __slots__ = ("graph", "store", "at", "through")
+    __slots__ = ("graph", "store", "at", "through", "_by_iteration")
 
     def __init__(self, graph: Graph, store: TriangleStore, at: list[int],
                  through: dict[int, list[int]]):
@@ -78,61 +80,88 @@ class _Removals:
         self.store = store
         self.at = at
         self.through = through
+        self._by_iteration: list[list[int]] | None = None
 
     def surviving(self, index: int) -> tuple[int, ...]:
         return tuple(compress(self.store.ids, map(le, repeat(index), self.at)))
 
-    def replay(self) -> Iterator[tuple[list[int], list[int]]]:
-        """For each iteration in order, the weight list at its start, indexed
-        by edge id (entry 0 unused), and the edge ids changed since the
-        previous iteration; before the first, every weight counts as 0.
+    def by_iteration(self) -> list[list[int]]:
+        """The positions each iteration removed, ascending: ``at`` grouped on
+        the first call and kept."""
+        if self._by_iteration is None:
+            groups = self._by_iteration = [[] for _ in range(max(self.at, default=-1) + 1)]
+            for k, i in enumerate(self.at):
+                groups[i].append(k)
+        return self._by_iteration
 
-        One count list serves every iteration: after a pair is yielded, the
-        edges of that iteration's removed triangles are decremented in
-        place, so a caller reads the list before asking for the next pair.
+    def replay(self) -> Iterator[tuple[list[int], list[int], list[int]]]:
+        """For each iteration in order, the weight list at its start, indexed
+        by edge id (entry 0 unused), the edge ids changed since the previous
+        iteration (before the first, every weight counts as 0), and the
+        positions the iteration removes.
+
+        One count list serves every iteration: after a triple is yielded,
+        the edges of that iteration's removed triangles are decremented in
+        place, so a caller reads the list before asking for the next triple.
         """
-        removed_by: list[list[int]] = [[] for _ in range(max(self.at, default=-1) + 1)]
-        for k, i in enumerate(self.at):
-            removed_by[i].append(k)
         counts = [0] * (self.graph.m + 1)
         for e, ks in self.through.items():
             counts[e] = len(ks)
         s = self.store
         changed = list(self.through)
-        for ks in removed_by:
-            yield counts, changed
+        for ks in self.by_iteration():
+            yield counts, changed, ks
             changed = [*map(s.e1.__getitem__, ks), *map(s.e2.__getitem__, ks),
                        *map(s.e3.__getitem__, ks)]
             for e in changed:
                 counts[e] -= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class IterationRecord:
     """One pruning iteration, before its removal is applied.
 
     ``removed`` is the subset of ``surviving`` touching a minimum-weight
     edge; the next iteration's surviving set is ``surviving`` minus
-    ``removed``.  ``surviving`` and ``weights`` (counted over ``surviving``)
-    are not stored: each read rebuilds them from the store's columns in
-    O(T + m), ``weights`` by the decrement replay the JSON log runs.
+    ``removed``.  Neither is stored: both are read off the trace's removal
+    state, ``surviving`` in O(T) on each read.  Records compare, hash and
+    print by their index, MIN, MAX, minimum edges and removed ids.
     """
 
     index: int
     min_weight: int
     max_weight: int
     min_edges: tuple[int, ...]
-    removed: tuple[int, ...]
-    _removals: _Removals = field(compare=False, repr=False)
+    _removals: _Removals
 
     @property
     def surviving(self) -> tuple[int, ...]:
         return self._removals.surviving(self.index)
 
     @property
-    def weights(self) -> tuple[int, ...]:
-        counts, _ = next(islice(self._removals.replay(), self.index, None))
-        return tuple(counts[1:])
+    def removed(self) -> tuple[int, ...]:
+        r = self._removals
+        return tuple(map(r.store.ids.__getitem__, r.by_iteration()[self.index]))
+
+    @property
+    def removed_count(self) -> int:
+        """``len(removed)``, without building the tuple."""
+        return len(self._removals.by_iteration()[self.index])
+
+    def _key(self) -> tuple:
+        return (self.index, self.min_weight, self.max_weight, self.min_edges,
+                self.removed)
+
+    def __eq__(self, other: object) -> bool:
+        return (self._key() == other._key() if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("IterationRecord(index={}, min_weight={}, max_weight={}, "
+                "min_edges={}, removed={})".format(*self._key()))
 
     def vertices_on(self, edge: int) -> frozenset[int]:
         """The vertices of the surviving triangles on ``edge``: the candidate
@@ -212,14 +241,15 @@ class Trace:
         record, and memory stays at one record plus the tokens.
         """
         sep = "["
+        ids = self.triangles.ids
         tokens = ["0"] * (self._removals.graph.m + 1)
-        for r, (counts, changed) in zip(self.records, self._removals.replay()):
+        for r, (counts, changed, ks) in zip(self.records, self._removals.replay()):
             for e in changed:
                 tokens[e] = str(counts[e])
             write(f'{sep}{{"i": {r.index}, "min": {r.min_weight}, '
                   f'"max": {r.max_weight}, '
                   f'"min_edges": [{", ".join(map(str, r.min_edges))}], '
-                  f'"removed_ids": [{", ".join(map(str, r.removed))}], '
+                  f'"removed_ids": [{", ".join(map(str, map(ids.__getitem__, ks)))}], '
                   f'"weights": [{", ".join(tokens[1:])}]}}')
             sep = ", "
         write("[]" if sep == "[" else "]")
@@ -277,7 +307,6 @@ def _peel(g: Graph, store: TriangleStore
         buckets[len(ks)].add(e)
     lo, hi = 1, len(buckets) - 1
 
-    ids = store.ids
     at = [-1] * len(store)
     removals = _Removals(g, store, at, through)
     alive = len(store)
@@ -290,32 +319,28 @@ def _peel(g: Graph, store: TriangleStore
         index = len(records)
         min_weight = lo
         min_edges = sorted(buckets[lo])
-        removed = []
+        before = alive
         for e in min_edges:
             for k in through[e]:
                 if at[k] < 0:
                     at[k] = index
-                    removed.append(k)
-        if not removed:
+                    alive -= 1
+                    for f in (e1[k], e2[k], e3[k]):
+                        w = weight[f]
+                        buckets[w].remove(f)
+                        w -= 1
+                        weight[f] = w
+                        if w:
+                            buckets[w].add(f)
+                            if w < lo:
+                                lo = w
+        if alive == before:
             raise RuntimeError("pruning removed nothing; invariant violated")
-        removed.sort()
-        for k in removed:
-            for e in (e1[k], e2[k], e3[k]):
-                w = weight[e]
-                buckets[w].remove(e)
-                w -= 1
-                weight[e] = w
-                if w:
-                    buckets[w].add(e)
-                    if w < lo:
-                        lo = w
-        alive -= len(removed)
         records.append(IterationRecord(
             index=index,
             min_weight=min_weight,
             max_weight=hi,
             min_edges=tuple(min_edges),
-            removed=tuple(map(ids.__getitem__, removed)),
             _removals=removals,
         ))
         if len(records) > bound:

@@ -81,7 +81,7 @@ def test_criterion_2_edge_and_triangle_formulas():
 def test_criterion_3_g1_trace_and_seeded_extraction(g1):
     g = g1.graph
     trace = full_trace(g)
-    assert list(trace.records[0].weights) == g1.expected["p0"]
+    assert trace.to_json_obj()[0]["weights"] == g1.expected["p0"]
     assert trace.min_max_sequence() == [(2, 5), (2, 4), (3, 3)]
     assert trace.main_index == 2
     result = cliques_per_min_edge(g).by_edge[4]
@@ -194,7 +194,7 @@ def test_criterion_8d_differential_weights_agree(corpus):
     # weights by decrements, against a from-scratch recount per iteration
     for g in corpus:
         for mode in (MODE_EXHAUSTIVE, MODE_EARLY_STOP):
-            assert_matches_reference(full_trace(g, mode=mode),
+            assert_matches_reference(g, full_trace(g, mode=mode),
                                      reference_trace(g, mode))
     _report("8d", True,
             f"engine and from-scratch records, weights and survivors agree "

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -41,10 +42,9 @@ class TestG1Trace:
     """The ten-vertex two-clique example, checked against its printed run."""
 
     def test_iteration_weight_vectors(self, g1):
-        trace = full_trace(g1.graph)
-        assert list(trace.records[0].weights) == g1.expected["p0"]
-        assert list(trace.records[1].weights) == g1.expected["p1"]
-        assert list(trace.records[2].weights) == g1.expected["p2"]
+        logged = [o["weights"] for o in full_trace(g1.graph).to_json_obj()]
+        assert logged == [g1.expected["p0"], g1.expected["p1"],
+                          g1.expected["p2"]]
 
     def test_min_max_sequence(self, g1):
         trace = full_trace(g1.graph)
@@ -71,10 +71,9 @@ class TestG3Trace:
             (1, 6), (1, 6), (2, 6), (1, 5), (2, 5), (1, 4), (2, 4), (3, 3)]
 
     def test_published_weight_vectors(self, g3):
-        trace = full_trace(g3.graph)
+        logged = full_trace(g3.graph).to_json_obj()
         for i in range(3):
-            assert list(trace.records[i].weights) == \
-                g3.expected["p_by_iteration"][str(i)]
+            assert logged[i]["weights"] == g3.expected["p_by_iteration"][str(i)]
 
     def test_min_edges_and_removals(self, g3):
         trace = full_trace(g3.graph)
@@ -95,7 +94,7 @@ class TestG3Trace:
 class TestG2Trace:
     def test_initial_iteration_is_main(self, g2):
         trace = full_trace(g2.graph)
-        assert list(trace.records[0].weights) == g2.expected["p0"]
+        assert trace.to_json_obj()[0]["weights"] == g2.expected["p0"]
         assert (trace.records[0].min_weight, trace.records[0].max_weight) == (3, 5)
         assert trace.main_index == 0
         assert list(trace.main_iteration().min_edges) == g2.expected["min_edges"]
@@ -138,9 +137,10 @@ class TestPruneStep:
         tris = enumerate_triangles(g)
         record, survivors = prune_step(g, tris, range(1, 31))
         trace = full_trace(g)
-        assert_matches_reference(trace, reference_trace(g, MODE_EXHAUSTIVE))
+        assert_matches_reference(g, trace, reference_trace(g, MODE_EXHAUSTIVE))
         got = trace.records[0]
-        assert (got.index, got.surviving, got.weights, got.min_weight,
+        weights = tuple(trace.to_json_obj()[0]["weights"])
+        assert (got.index, got.surviving, weights, got.min_weight,
                 got.max_weight, got.min_edges, got.removed) == (
             record.index, record.surviving, record.weights, record.min_weight,
             record.max_weight, record.min_edges, record.removed)
@@ -165,12 +165,12 @@ class TestMainIteration:
         g = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
         for mode in MODES:
             trace = full_trace(g, mode=mode)
-            assert_matches_reference(trace, reference_trace(g, mode))
+            assert_matches_reference(g, trace, reference_trace(g, mode))
             (rec,) = trace.records
             assert (rec.min_weight, rec.max_weight) == (1, 1)
             assert rec.min_edges == (1, 2, 3) and rec.removed == (1,)
             assert rec.surviving == (1,)
-            assert list(rec.weights) == [1, 1, 1, 0, 0]
+            assert trace.to_json_obj()[0]["weights"] == [1, 1, 1, 0, 0]
             assert trace.main_index == 0
 
     def test_triangle_free_graph(self):
@@ -185,7 +185,8 @@ class TestMainIteration:
         # the single iteration removes all C(n,3) triangles
         for n in range(3, 9):
             trace = full_trace(complete(n), mode=MODE_EARLY_STOP)
-            assert_matches_reference(trace, reference_trace(complete(n), MODE_EARLY_STOP))
+            assert_matches_reference(complete(n), trace,
+                                     reference_trace(complete(n), MODE_EARLY_STOP))
             (rec,) = trace.records
             assert rec.min_weight == rec.max_weight == n - 2
             assert len(rec.removed) == n * (n - 1) * (n - 2) // 6
@@ -218,8 +219,7 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
     assert trace.min_max_sequence() == [(2, 2)]
     record = trace.records[0]
     assert record.surviving == record.removed == (7, 8, 9, 10)
-    assert list(record.weights) == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2]
-    assert trace.to_json_obj()[0]["weights"] == list(record.weights)
+    assert trace.to_json_obj()[0]["weights"] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2]
     assert trace.triangle_by_id(10) == inside[-1]
     with pytest.raises(GraphError):
         trace.triangle_by_id(1)
@@ -424,13 +424,14 @@ def test_trace_invariants_on_random_graphs(n, p, seed):
     trace = full_trace(g)
 
     # the bucket-queue engine must match the from-scratch recount bit-for-bit
-    assert_matches_reference(trace, reference_trace(g, MODE_EXHAUSTIVE))
+    assert_matches_reference(g, trace, reference_trace(g, MODE_EXHAUSTIVE))
 
     # early-stop records the same iterations (removal empties the set at MIN=MAX)
     early = full_trace(g, mode=MODE_EARLY_STOP)
     assert early.records == trace.records
 
     by_id = {t.id: t for t in tris}
+    logged = trace.to_json_obj()
     previous = None
     for rec in trace.records:
         # sizes strictly decrease and the set relation C_{i+1} = C_i minus Q_i holds
@@ -441,7 +442,7 @@ def test_trace_invariants_on_random_graphs(n, p, seed):
         assert rec.removed
         # recompute P_i independently from the surviving ids
         recomputed = reference_edge_weights(g, [by_id[c] for c in rec.surviving])
-        assert recomputed == rec.weights
+        assert list(recomputed) == logged[rec.index]["weights"]
         # Q_i is exactly the set of triangles touching a minimum-weight edge
         min_set = set(rec.min_edges)
         expected_q = [c for c in rec.surviving
@@ -461,7 +462,7 @@ def edge_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(edge_sets(), st.sampled_from(MODES))
 def test_engine_matches_reference_recount(g, mode):
-    assert_matches_reference(full_trace(g, mode=mode), reference_trace(g, mode))
+    assert_matches_reference(g, full_trace(g, mode=mode), reference_trace(g, mode))
 
 
 def streamed(trace) -> str:
@@ -474,14 +475,15 @@ def streamed(trace) -> str:
 @given(edge_sets(), st.sampled_from(MODES))
 def test_streamed_json_equals_the_object_encoding(g, mode):
     trace = full_trace(g, mode=mode)
-    assert streamed(trace) == json.dumps(reference_json_obj(trace))
-    assert trace.to_json_obj() == reference_json_obj(trace)
+    assert streamed(trace) == json.dumps(reference_json_obj(g, trace))
+    assert trace.to_json_obj() == reference_json_obj(g, trace)
 
 
 def test_streamed_json_of_a_triangle_free_graph_is_an_empty_list():
-    trace = full_trace(moon_moser(2))
+    g = moon_moser(2)
+    trace = full_trace(g)
     assert not trace.records
-    assert streamed(trace) == "[]" == json.dumps(reference_json_obj(trace))
+    assert streamed(trace) == "[]" == json.dumps(reference_json_obj(g, trace))
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -490,15 +492,28 @@ def test_streamed_json_of_a_triangle_subset(n):
     g = complete(n)
     inside = enumerate_triangles(g).inside(frozenset(range(2, n + 1)))
     trace = full_trace(g, triangles=inside)
-    assert streamed(trace) == json.dumps(reference_json_obj(trace))
+    assert streamed(trace) == json.dumps(reference_json_obj(g, trace))
+
+
+# one corpus graph in each block of 20, offset so that the slice takes every
+# n in 5..24 (graphs 0, 20, 40, ... all have n = 5) and every p
+CORPUS_SLICE = [20 * j + j % 20 for j in range(50)]
+
+
+def test_engine_matches_reference_on_the_corpus_slice():
+    for i in CORPUS_SLICE:
+        g = corpus_graph(i)
+        for mode in MODES:
+            assert_matches_reference(g, full_trace(g, mode=mode),
+                                     reference_trace(g, mode))
 
 
 def test_streamed_json_on_the_corpus_slice():
-    for i in range(0, 1000, 20):
+    for i in CORPUS_SLICE:
         g = corpus_graph(i)
         for mode in MODES:
             trace = full_trace(g, mode=mode)
-            want = reference_json_obj(trace)
+            want = reference_json_obj(g, trace)
             assert streamed(trace) == json.dumps(want), i
             assert trace.to_json_obj() == want, i
 
@@ -516,6 +531,72 @@ def test_streaming_holds_one_record_not_the_log():
         tracemalloc.stop()
     assert len(written) == len(trace.records) + 1 and sum(written) > 5 << 20
     assert peak <= 4 << 20
+
+
+def test_a_trace_holds_no_removal_lists():
+    # 162530 triangles.  Beyond the store, a trace holds the per-edge lists
+    # of positions, the positions themselves and ``at``: about 72 bytes a
+    # triangle.  A tuple of removed ids per record would add about 41.
+    g = gnp(200, 0.5, 1)
+    store = enumerate_triangles(g)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        trace = full_trace(g, triangles=store)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.triangles) == len(store) == 162530
+    assert held <= 80 * len(store)
+
+
+def test_records_of_two_traces_of_one_graph_are_equal_and_hash_equal(g3):
+    first, second = full_trace(g3.graph).records, full_trace(g3.graph).records
+    assert first == second and len(first) == 8
+    assert list(map(hash, first)) == list(map(hash, second))
+    assert set(first) == set(second) and len(set(first + second)) == 8
+
+
+def test_records_differing_only_in_their_removals_are_unequal(g1):
+    # iteration 0 removes triangles 4, 10, 13 and 20; the same record over
+    # removal state that leaves triangle 4 to iteration 1 names 10, 13, 20
+    record = full_trace(g1.graph).records[0]
+    r = record._removals
+    at = list(r.at)
+    at[r.store.ids.index(4)] = 1
+    other = dataclasses.replace(
+        record, _removals=pruning._Removals(r.graph, r.store, at, r.through))
+    assert (other.index, other.min_weight, other.max_weight, other.min_edges) \
+        == (record.index, record.min_weight, record.max_weight, record.min_edges)
+    assert (record.removed, other.removed) == ((4, 10, 13, 20), (10, 13, 20))
+    assert record != other and other != record
+    assert record == dataclasses.replace(other, _removals=r)
+
+
+def test_record_repr_shows_its_removals(g1):
+    assert repr(full_trace(g1.graph).records[0]) == (
+        "IterationRecord(index=0, min_weight=2, max_weight=5, "
+        "min_edges=(5, 15), removed=(4, 10, 13, 20))")
+
+
+@pytest.mark.parametrize("log_first", [False, True])
+def test_removed_is_an_ascending_tuple_of_ids(g3, log_first):
+    # the ids are read off the trace's removal state, whether the JSON log
+    # or a record grouped it first; a subset's ids skip numbers
+    g = complete(7)
+    inside = enumerate_triangles(g).inside(frozenset(range(2, 8)))
+    for trace, want in (
+            (full_trace(g3.graph), g3.expected["removed_by_iteration"]),
+            (full_trace(g, triangles=inside), [list(inside.ids)])):
+        if log_first:
+            streamed(trace)
+        got = [r.removed for r in trace.records]
+        assert [list(ids) for ids in got] == want
+        assert all(type(ids) is tuple and list(ids) == sorted(ids)
+                   and all(type(c) is int for c in ids) for ids in got)
+        assert [r.removed_count for r in trace.records] == list(map(len, want))
+        streamed(trace)
+        assert [r.removed for r in trace.records] == got
 
 
 def omega_bound(trace) -> int:

@@ -5,8 +5,9 @@ triangles and rescans all m edges for the minimum, exactly as the iteration
 is defined, with no state carried between iterations.  It costs
 O(iterations * (T + m)), so the tests run it only on small graphs.
 
-``reference_json_obj`` builds the JSON log as one object from each record's
-fields and its rebuilt ``weights``: ``Trace.write_json`` is held to
+``surviving_weights`` counts each edge over a record's surviving triangles
+from scratch.  ``reference_json_obj`` builds the JSON log as one object from
+each record's fields and that count: ``Trace.write_json`` is held to
 ``json.dumps`` of it byte for byte.
 """
 
@@ -80,29 +81,44 @@ def reference_trace(g: Graph, mode: str) -> list[ReferenceRecord]:
 
 
 FIELDS = ("index", "min_weight", "max_weight", "min_edges", "removed",
-          "surviving", "weights")
+          "surviving")
 
 
-def assert_matches_reference(trace, reference: list[ReferenceRecord]) -> None:
-    """Every field of every record, the rebuilt ``surviving`` and
-    ``weights`` included, equals the reference's; so does the JSON export."""
+def surviving_weights(g: Graph, trace, record) -> tuple[int, ...]:
+    """The weight vector at the start of ``record``'s iteration: each edge of
+    ``g`` counted over the triangles of ``record.surviving``, from scratch."""
+    alive = set(record.surviving)
+    s = trace.triangles
+    counts = [0] * g.m
+    for c, *edges in zip(s.ids, s.e1, s.e2, s.e3):
+        if c in alive:
+            for e in edges:
+                counts[e - 1] += 1
+    return tuple(counts)
+
+
+def assert_matches_reference(g: Graph, trace,
+                             reference: list[ReferenceRecord]) -> None:
+    """Every field of every record, the rebuilt ``surviving`` included,
+    equals the reference's, and so does each record's weight vector counted
+    over it; so do the JSON export's weights."""
     assert len(trace.records) == len(reference)
     for got, want in zip(trace.records, reference):
         for name in FIELDS:
             assert getattr(got, name) == getattr(want, name), (got.index, name)
+        assert surviving_weights(g, trace, got) == want.weights, got.index
     assert [o["weights"] for o in trace.to_json_obj()] == \
         [list(r.weights) for r in reference]
 
 
-def reference_json_obj(trace) -> list[dict]:
-    """One object per record of ``trace``, its weight vector read from
-    ``IterationRecord.weights``, which replays the removals afresh for each
-    record: O(records * (T + m))."""
+def reference_json_obj(g: Graph, trace) -> list[dict]:
+    """One object per record of ``trace``, its weight vector counted afresh
+    over the record's surviving triangles: O(records * T)."""
     return [{
         "i": r.index,
         "min": r.min_weight,
         "max": r.max_weight,
         "min_edges": list(r.min_edges),
         "removed_ids": list(r.removed),
-        "weights": list(r.weights),
+        "weights": list(surviving_weights(g, trace, r)),
     } for r in trace.records]
