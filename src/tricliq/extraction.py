@@ -16,9 +16,9 @@ complete holds the clique's witness triangles.
 This module only orchestrates; each step it takes is owned elsewhere.  The
 trace and H (``IterationRecord.vertices_on``, read off the seed's per-edge
 list) belong to ``pruning``; the store's order and the triangles inside H
-(``TriangleStore.inside``, which reads only the runs of H's vertices)
-belong to ``triangles``.  A level therefore costs what its seed touches,
-not the triangle count.
+(``TriangleStore.inside``, which reads only the rows whose lowest two
+vertices are a pair of H) belong to ``triangles``.  A level therefore
+costs what its seed touches, not the triangle count.
 """
 
 from __future__ import annotations

@@ -38,7 +38,8 @@ not T, and that is the candidate subgraph extraction grows.
 The JSON log has one weight vector per record, O(records * m) numbers.
 ``Trace.write_json`` is the one writer of its format: it writes the log one
 record at a time, re-formatting only the weights a record's removals
-changed, and ``tricliq trace --json`` streams through it.
+changed and re-joining only the blocks of ``isqrt(m)`` weights that hold
+them, and ``tricliq trace --json`` streams through it.
 ``Trace.to_json_obj`` parses what it writes back into one object.
 """
 
@@ -49,6 +50,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
+from math import isqrt
 from operator import le
 from typing import Callable, Iterator
 
@@ -85,14 +87,20 @@ class _Removals:
     def surviving(self, index: int) -> tuple[int, ...]:
         return tuple(compress(self.store.ids, map(le, repeat(index), self.at)))
 
-    def by_iteration(self) -> list[list[int]]:
-        """The positions each iteration removed, ascending: ``at`` grouped on
-        the first call and kept."""
-        if self._by_iteration is None:
-            groups = self._by_iteration = [[] for _ in range(max(self.at, default=-1) + 1)]
+    def grouped(self) -> list[list[int]]:
+        """The positions each iteration removed, ascending: ``at`` grouped,
+        unless ``by_iteration`` has kept a grouping."""
+        groups = self._by_iteration
+        if groups is None:
+            groups = [[] for _ in range(max(self.at, default=-1) + 1)]
             for k, i in enumerate(self.at):
                 groups[i].append(k)
-        return self._by_iteration
+        return groups
+
+    def by_iteration(self) -> list[list[int]]:
+        """``grouped()``, kept for the records' later reads."""
+        self._by_iteration = groups = self.grouped()
+        return groups
 
     def replay(self) -> Iterator[tuple[list[int], list[int], list[int]]]:
         """For each iteration in order, the weight list at its start, indexed
@@ -109,7 +117,7 @@ class _Removals:
             counts[e] = len(ks)
         s = self.store
         changed = list(self.through)
-        for ks in self.by_iteration():
+        for ks in self.grouped():
             yield counts, changed, ks
             changed = [*map(s.e1.__getitem__, ks), *map(s.e2.__getitem__, ks),
                        *map(s.e3.__getitem__, ks)]
@@ -236,21 +244,29 @@ class Trace:
         out.  There is one call per record, then one for the closing bracket.
 
         Each edge keeps its weight as a string token, and only the tokens of
-        the edges a record's removals touched are re-formatted, so the whole
-        log costs O(T + m) int-to-string conversions plus one join per
-        record, and memory stays at one record plus the tokens.
+        the edges a record's removals touched are re-formatted.  The tokens
+        are kept joined in blocks of ``isqrt(m)`` tokens; a record re-joins
+        only the blocks that hold a changed edge, then joins the O(sqrt(m))
+        blocks.  Memory stays at one record plus the tokens; the trace keeps
+        no grouping of removals that a record had not built.
         """
         sep = "["
         ids = self.triangles.ids
-        tokens = ["0"] * (self._removals.graph.m + 1)
+        m = self._removals.graph.m
+        width = isqrt(m) or 1
+        tokens = ["0"] * (m + 1)
+        blocks = [", ".join(tokens[lo:lo + width]) for lo in range(1, m + 1, width)]
         for r, (counts, changed, ks) in zip(self.records, self._removals.replay()):
             for e in changed:
                 tokens[e] = str(counts[e])
+            for b in {(e - 1) // width for e in changed}:
+                lo = b * width + 1
+                blocks[b] = ", ".join(tokens[lo:lo + width])
             write(f'{sep}{{"i": {r.index}, "min": {r.min_weight}, '
                   f'"max": {r.max_weight}, '
                   f'"min_edges": [{", ".join(map(str, r.min_edges))}], '
                   f'"removed_ids": [{", ".join(map(str, map(ids.__getitem__, ks)))}], '
-                  f'"weights": [{", ".join(tokens[1:])}]}}')
+                  f'"weights": [{", ".join(blocks)}]}}')
             sep = ", "
         write("[]" if sep == "[" else "]")
 

@@ -17,8 +17,9 @@ passes; the trace and the weight vectors read the columns by position.
 ``TriangleStore.of`` is the one check of a store against a graph: one loop
 over its rows admits only rows of exact ints that are triangles of the
 graph by the listing's own definition, read off the graph's edge index,
-and then only that order, which ``TriangleStore.inside`` relies on.  A
-``Triangle`` is only an output view, built when a caller reads the store.
+and then only that order, which ``TriangleStore.inside`` bisects to read
+only the rows whose lowest two vertices are a pair of H.  A ``Triangle`` is
+only an output view, built when a caller reads the store.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, compress, islice, repeat
-from operator import and_, lt
+from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
@@ -120,21 +121,29 @@ class TriangleStore:
         """The triangles whose vertices all lie in ``h``, as a store of their
         own under the same ids.
 
-        The triangles whose lowest vertex is ``u`` form one run of positions,
-        found by two bisections of ``us``; only the runs of the vertices of
-        ``h`` are read, and each is filtered on the other two vertex columns.
-        The two largest vertices of ``h`` cannot be the lowest vertex of a
-        triangle inside it.
+        The run of triangles whose lowest vertex is ``u`` (two bisections of
+        ``us``) is sorted by (v, w), so the rows of a pair u < v of ``h`` form
+        one sub-run, found by bisecting ``vs`` within the run; a pair that
+        is not an edge has an empty one.  Only those sub-runs are read, pairs
+        ascending, each filtered on ``ws``: O(common higher neighbours) per
+        pair, not the runs of ``h``'s vertices.
         """
         us, vs, ws = self.us, self.vs, self.ws
         in_h = h.__contains__
+        hs = sorted(h)
         ks: list[int] = []
         hi = 0
-        for u in sorted(h)[:-2]:
+        for i, u in enumerate(hs[:-2], 1):
             lo = bisect_left(us, u, hi)
             hi = bisect_left(us, u + 1, lo)
-            ks.extend(compress(range(lo, hi), map(
-                and_, map(in_h, vs[lo:hi]), map(in_h, ws[lo:hi]))))
+            b = lo
+            for v in hs[i:-1]:
+                a = bisect_left(vs, v, b, hi)
+                if a == hi:
+                    break
+                if vs[a] == v:
+                    b = bisect_left(vs, v + 1, a, hi)
+                    ks.extend(compress(range(a, b), map(in_h, ws[a:b])))
         return self.take(ks)
 
     def __len__(self) -> int:

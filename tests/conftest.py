@@ -22,6 +22,11 @@ def corpus_graph(i: int) -> Graph:
     return gnp(5 + i % 20, (0.3, 0.5, 0.7)[i % 3], seed=i)
 
 
+# one corpus graph in each block of 20, offset so that the slice takes every
+# n in 5..24 (graphs 0, 20, 40, ... all have n = 5) and every p
+CORPUS_SLICE = [20 * j + j % 20 for j in range(50)]
+
+
 @pytest.fixture(scope="session")
 def g1():
     return load_fixture("g1")

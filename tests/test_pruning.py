@@ -1,7 +1,10 @@
 import dataclasses
 import io
 import json
+import random
 import tracemalloc
+from itertools import chain, combinations, count
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +28,7 @@ from tricliq import (
 from tricliq import pruning
 from tricliq.triangles import TriangleStore
 
-from conftest import corpus_graph, gnp
+from conftest import CORPUS_SLICE, corpus_graph, gnp
 from triangles_reference import reference_edge_weights
 from trace_reference import (
     EmptyIterationError,
@@ -495,9 +498,27 @@ def test_streamed_json_of_a_triangle_subset(n):
     assert streamed(trace) == json.dumps(reference_json_obj(g, trace))
 
 
-# one corpus graph in each block of 20, offset so that the slice takes every
-# n in 5..24 (graphs 0, 20, 40, ... all have n = 5) and every p
-CORPUS_SLICE = [20 * j + j % 20 for j in range(50)]
+@pytest.mark.parametrize("m", [3, 4, 5, 15, 16, 17])
+def test_streamed_json_across_weight_blocks(m):
+    # the log re-joins weight tokens in blocks of isqrt(m) edges, here 1, 2,
+    # 2, 3, 4 and 4 wide, so m = 5 and 17 end in a partial block; random
+    # graphs with m of about two thirds of n's pairs, with shuffled edge
+    # ids, change edges in the first and the last block
+    width = isqrt(m)
+    n = next(k for k in count(3) if k * (k - 1) // 2 * 2 >= 3 * m)
+    pairs = list(combinations(range(1, n + 1), 2))
+    hit = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v)
+                      for u, v in rng.sample(pairs, m)])
+        trace = full_trace(g)
+        assert streamed(trace) == json.dumps(reference_json_obj(g, trace)), seed
+        weights = [[0] * m] + [o["weights"] for o in trace.to_json_obj()]
+        for before, after in zip(weights, weights[1:]):
+            hit.update(j // width for j, (a, b) in enumerate(zip(before, after))
+                       if a != b)
+    assert {0, (m - 1) // width} <= hit
 
 
 def test_engine_matches_reference_on_the_corpus_slice():
@@ -537,6 +558,8 @@ def test_a_trace_holds_no_removal_lists():
     # 162530 triangles.  Beyond the store, a trace holds the per-edge lists
     # of positions, the positions themselves and ``at``: about 72 bytes a
     # triangle.  A tuple of removed ids per record would add about 41.
+    # Writing the log leaves no grouping of those positions by iteration
+    # behind, which would add about 38 more; records' removed still read.
     g = gnp(200, 0.5, 1)
     store = enumerate_triangles(g)
     tracemalloc.start()
@@ -544,10 +567,16 @@ def test_a_trace_holds_no_removal_lists():
         before, _ = tracemalloc.get_traced_memory()
         trace = full_trace(g, triangles=store)
         held = tracemalloc.get_traced_memory()[0] - before
+        trace.write_json(lambda text: None)
+        held_after_log = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(trace.triangles) == len(store) == 162530
     assert held <= 80 * len(store)
+    assert held_after_log <= 80 * len(store)
+    removed = [r.removed for r in trace.records]
+    assert removed == [r.removed for r in full_trace(g, triangles=store).records]
+    assert sorted(chain.from_iterable(removed)) == list(store.ids)
 
 
 def test_records_of_two_traces_of_one_graph_are_equal_and_hash_equal(g3):

@@ -11,16 +11,18 @@ from tricliq import (
     complete,
     edge_weight_vector,
     enumerate_triangles,
+    full_trace,
     min_max,
     moon_moser,
     vertex_weight_vector,
 )
 from tricliq.triangles import TriangleStore
 
-from conftest import corpus_graph, gnp
+from conftest import CORPUS_SLICE, corpus_graph, gnp
 from graph_reference import neighbors
 from triangles_reference import (
     reference_edge_weights,
+    reference_inside,
     reference_triangles,
     reference_vertex_weights,
     ring_sum,
@@ -360,3 +362,80 @@ def test_listing_a_dense_graph_builds_no_tuple_per_triangle():
         tracemalloc.stop()
     assert len(store) == 162530
     assert peak <= 20 << 20
+
+
+def columns(store: TriangleStore) -> list[list[int]]:
+    return [list(getattr(store, name)) for name in TriangleStore.__slots__]
+
+
+def assert_inside_matches_reference(store: TriangleStore, h: frozenset[int]):
+    """``inside`` of ``store`` and of that result keep the rows the reference's
+    filter over every row keeps, column for column: the second store's
+    positions no longer follow its ids."""
+    level = store.inside(h)
+    assert columns(level) == columns(reference_inside(store, h)), sorted(h)
+    sub = frozenset(sorted(h)[::2])
+    assert columns(level.inside(sub)) == columns(reference_inside(level, sub))
+
+
+def test_inside_matches_reference_on_the_corpus_slice():
+    # each seed's H at the main record, that H with labels outside 1..n,
+    # and seeded subsets of -1..n + 2 of every size up to n: some hold
+    # fewer than three vertices, and most hold vertices that start no run
+    for i in CORPUS_SLICE:
+        g = corpus_graph(i)
+        store = enumerate_triangles(g)
+        rng = random.Random(i)
+        hs = [frozenset(rng.sample(range(-1, g.n + 3), k)) for k in range(g.n + 1)]
+        trace = full_trace(g, triangles=store)
+        if trace.records:
+            record = trace.main_iteration()
+            seeds = [record.vertices_on(e) for e in record.min_edges]
+            hs += seeds + [h | {0, g.n + 1} for h in seeds]
+        for h in hs:
+            assert_inside_matches_reference(store, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10**6),
+       st.data())
+def test_inside_matches_reference_on_random_subsets(n, p, seed, data):
+    rng = random.Random(seed)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in gnp(n, p, seed).edges]
+    rng.shuffle(pairs)
+    store = enumerate_triangles(Graph(n, pairs))
+    h = frozenset(data.draw(st.sets(st.integers(-1, n + 2))))
+    assert_inside_matches_reference(store, h)
+
+
+class CountingColumn(list):
+    """A store column that counts the rows read through its slices."""
+
+    rows = 0
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            self.rows += len(range(*k.indices(len(self))))
+        return super().__getitem__(k)
+
+
+def test_inside_reads_only_the_sub_runs_of_the_pairs_of_h():
+    # at level 0, the rows whose lowest two vertices are u < v are the
+    # common higher neighbours w > v of u and v, in H or not; the whole run
+    # of u, every triangle whose lowest vertex is u, is several times more
+    g = gnp(150, 0.5, 1)
+    s = enumerate_triangles(g)
+    cols = [CountingColumn(c) for c in (s.us, s.vs, s.ws)]
+    store = TriangleStore(s.ids, *cols, s.e1, s.e2, s.e3)
+    nbrs = {v: neighbors(g, v) for v in g.vertices()}
+    record = full_trace(g, triangles=s).main_iteration()
+    assert len(record.min_edges) > 10
+    for edge in record.min_edges:
+        h = record.vertices_on(edge)
+        before = sum(c.rows for c in cols)
+        level = store.inside(h)
+        read = sum(c.rows for c in cols) - before
+        bound = sum(sum(w > v for w in nbrs[u] & nbrs[v])
+                    for u, v in combinations(sorted(h), 2))
+        assert 0 < len(level) <= read <= bound, (edge, read, bound)

@@ -9,6 +9,9 @@ It shares nothing with ``enumerate_triangles`` but the edge list: its
 neighbour sets and its endpoint-pair to edge-id dict are built here from
 ``g.edges``, apart from the graph's own edge index.
 
+``reference_inside`` filters every row of a store for the triangles inside
+a vertex set, the reference ``TriangleStore.inside`` is held to.
+
 ``ring_sum`` adds edge sets over GF(2), the cycle-space sum the triangle
 tests and criterion 8f check.
 """
@@ -16,6 +19,7 @@ tests and criterion 8f check.
 from __future__ import annotations
 
 from tricliq import Graph, Triangle
+from tricliq.triangles import TriangleStore
 
 
 def reference_triangles(g: Graph) -> tuple[Triangle, ...]:
@@ -60,6 +64,18 @@ def reference_vertex_weights(g: Graph, triangles) -> tuple[int, ...]:
         for v in t.vertices:
             counts[v - 1] += 1
     return tuple(counts)
+
+
+def reference_inside(store: TriangleStore, h) -> TriangleStore:
+    """The rows of ``store`` whose three vertices all lie in ``h``, in store
+    order, found by reading every row."""
+    cols: list[list[int]] = [[] for _ in TriangleStore.__slots__]
+    for row in zip(store.ids, store.us, store.vs, store.ws,
+                   store.e1, store.e2, store.e3):
+        if {row[1], row[2], row[3]} <= h:
+            for col, x in zip(cols, row):
+                col.append(x)
+    return TriangleStore(*cols)
 
 
 def ring_sum(sets) -> frozenset[int]:
