@@ -54,10 +54,9 @@ from .pruning import (
 )
 from .triangles import (
     Triangle,
-    edge_weight_vector,
     enumerate_triangles,
     min_max,
-    vertex_weight_vector,
+    weight_vectors,
 )
 from .fixtures import FIXTURE_NAMES, Fixture, load_fixture
 
@@ -91,7 +90,6 @@ __all__ = [
     "complete_multipartite",
     "enumerate_maximal_cliques",
     "enumerate_triangles",
-    "edge_weight_vector",
     "extract_max_clique",
     "format_dimacs",
     "format_edge_list",
@@ -106,5 +104,5 @@ __all__ = [
     "parse_dimacs",
     "parse_edge_list",
     "subgraph_for_edge",
-    "vertex_weight_vector",
+    "weight_vectors",
 ]

@@ -23,7 +23,7 @@ from .oracle import (
     max_clique_exact,
 )
 from .pruning import MODE_EARLY_STOP, MODE_EXHAUSTIVE, full_trace
-from .triangles import edge_weight_vector, enumerate_triangles, vertex_weight_vector
+from .triangles import enumerate_triangles, weight_vectors
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -81,12 +81,13 @@ def cmd_triangles(args) -> int:
     g = load_graph(args.input)
     tris = enumerate_triangles(g)
     if args.json:
+        edge_weights, vertex_weights = weight_vectors(g, tris)
         print(json.dumps({
             "count": len(tris),
             "triangles": [{"id": t.id, "vertices": list(t.vertices),
                            "edges": list(t.edges)} for t in tris],
-            "edge_weights": list(edge_weight_vector(g, tris)),
-            "vertex_weights": list(vertex_weight_vector(g, tris)),
+            "edge_weights": list(edge_weights),
+            "vertex_weights": list(vertex_weights),
         }))
         return 0
     print(f"{len(tris)} triangles")

@@ -25,15 +25,16 @@ the caller passes; extraction passes each level's store of the triangles
 inside H, which costs in proportion to that store, not to the graph's
 triangle count.
 
-Records keep only what each iteration decided: MIN, MAX and the minimum
-edges.  They hold no removal lists: ``at`` is the one record of removals,
-and a record's ``removed`` ids are read off ``at`` grouped by iteration, a
-grouping built once per trace.  An iteration's surviving ids are rebuilt
-from ``at`` when read, so a caller pays for them only when it asks, and the
-JSON log's weights come from one decrement replay.  The per-edge lists
-outlive the peel: ``IterationRecord.vertices_on`` reads a seed edge's
-surviving triangles off its list in time proportional to the edge's weight,
-not T, and that is the candidate subgraph extraction grows.
+Records keep only what each iteration decided: MIN, MAX, the minimum
+edges and how many triangles it removed.  They hold no removal lists:
+``at`` is the one record of removals, and a record's ``removed`` ids are
+read off ``at`` grouped by iteration, a grouping built on the first such
+read.  An iteration's surviving ids are rebuilt from ``at`` when read, so a
+caller pays for them only when it asks, and the JSON log's weights come
+from one decrement replay.  The per-edge lists outlive the peel:
+``IterationRecord.vertices_on`` reads a seed edge's surviving triangles off
+its list in time proportional to the edge's weight, not T, and that is the
+candidate subgraph extraction grows.
 
 The JSON log has one weight vector per record, O(records * m) numbers.
 ``Trace.write_json`` is the one writer of its format: it writes the log one
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from math import isqrt
 from operator import le
-from typing import Callable, Iterator
+from typing import Callable
 
 from .graph import Graph, GraphError
 from .triangles import Triangle, TriangleStore, enumerate_triangles
@@ -71,14 +72,14 @@ class _Removals:
     ``at[k]`` is the index of the iteration that removed the triangle at
     position ``k`` of ``store``; the triangles alive at the start of
     iteration ``i`` are those with ``at >= i``.  ``through[e]`` lists the
-    positions of the triangles on edge ``e``.
+    positions of the triangles on edge ``e``, one of the graph's ``m``.
     """
 
-    __slots__ = ("graph", "store", "at", "through", "_by_iteration")
+    __slots__ = ("m", "store", "at", "through", "_by_iteration")
 
-    def __init__(self, graph: Graph, store: TriangleStore, at: list[int],
+    def __init__(self, m: int, store: TriangleStore, at: list[int],
                  through: dict[int, list[int]]):
-        self.graph = graph
+        self.m = m
         self.store = store
         self.at = at
         self.through = through
@@ -102,28 +103,6 @@ class _Removals:
         self._by_iteration = groups = self.grouped()
         return groups
 
-    def replay(self) -> Iterator[tuple[list[int], list[int], list[int]]]:
-        """For each iteration in order, the weight list at its start, indexed
-        by edge id (entry 0 unused), the edge ids changed since the previous
-        iteration (before the first, every weight counts as 0), and the
-        positions the iteration removes.
-
-        One count list serves every iteration: after a triple is yielded,
-        the edges of that iteration's removed triangles are decremented in
-        place, so a caller reads the list before asking for the next triple.
-        """
-        counts = [0] * (self.graph.m + 1)
-        for e, ks in self.through.items():
-            counts[e] = len(ks)
-        s = self.store
-        changed = list(self.through)
-        for ks in self.grouped():
-            yield counts, changed, ks
-            changed = [*map(s.e1.__getitem__, ks), *map(s.e2.__getitem__, ks),
-                       *map(s.e3.__getitem__, ks)]
-            for e in changed:
-                counts[e] -= 1
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class IterationRecord:
@@ -132,14 +111,16 @@ class IterationRecord:
     ``removed`` is the subset of ``surviving`` touching a minimum-weight
     edge; the next iteration's surviving set is ``surviving`` minus
     ``removed``.  Neither is stored: both are read off the trace's removal
-    state, ``surviving`` in O(T) on each read.  Records compare, hash and
-    print by their index, MIN, MAX, minimum edges and removed ids.
+    state, ``surviving`` in O(T) on each read.  ``removed_count`` is
+    ``len(removed)``, stored by the peel.  Records compare, hash and print
+    by their index, MIN, MAX, minimum edges and removed ids.
     """
 
     index: int
     min_weight: int
     max_weight: int
     min_edges: tuple[int, ...]
+    removed_count: int
     _removals: _Removals
 
     @property
@@ -150,11 +131,6 @@ class IterationRecord:
     def removed(self) -> tuple[int, ...]:
         r = self._removals
         return tuple(map(r.store.ids.__getitem__, r.by_iteration()[self.index]))
-
-    @property
-    def removed_count(self) -> int:
-        """``len(removed)``, without building the tuple."""
-        return len(self._removals.by_iteration()[self.index])
 
     def _key(self) -> tuple:
         return (self.index, self.min_weight, self.max_weight, self.min_edges,
@@ -209,7 +185,7 @@ class Trace:
             return None
         if self.mode == MODE_EARLY_STOP:
             last = self.records[-1]
-            if last.min_weight == last.max_weight and last.min_weight > 0:
+            if last.min_weight == last.max_weight:
                 return last.index
         best = max(self.records, key=lambda r: (r.min_weight, -r.index))
         return best.index
@@ -243,6 +219,9 @@ class Trace:
         ``removed_ids`` and ``weights``, laid out as ``json.dumps`` lays it
         out.  There is one call per record, then one for the closing bracket.
 
+        The weights are one decrement replay of the removals: each edge's
+        count starts at the length of its triangle list, and after a record
+        is written the edges of the triangles it removed lose one each.
         Each edge keeps its weight as a string token, and only the tokens of
         the edges a record's removals touched are re-formatted.  The tokens
         are kept joined in blocks of ``isqrt(m)`` tokens; a record re-joins
@@ -250,26 +229,33 @@ class Trace:
         blocks.  Memory stays at one record plus the tokens; the trace keeps
         no grouping of removals that a record had not built.
         """
-        sep = "["
-        ids = self.triangles.ids
-        m = self._removals.graph.m
+        r = self._removals
+        s, m = r.store, r.m
         width = isqrt(m) or 1
+        counts = [0] * (m + 1)
+        for e, ks in r.through.items():
+            counts[e] = len(ks)
+        changed = list(r.through)
         tokens = ["0"] * (m + 1)
         blocks = [", ".join(tokens[lo:lo + width]) for lo in range(1, m + 1, width)]
-        for r, (counts, changed, ks) in zip(self.records, self._removals.replay()):
+        sep = "["
+        for rec, ks in zip(self.records, r.grouped()):
             for e in changed:
                 tokens[e] = str(counts[e])
             for b in {(e - 1) // width for e in changed}:
                 lo = b * width + 1
                 blocks[b] = ", ".join(tokens[lo:lo + width])
-            write(f'{sep}{{"i": {r.index}, "min": {r.min_weight}, '
-                  f'"max": {r.max_weight}, '
-                  f'"min_edges": [{", ".join(map(str, r.min_edges))}], '
-                  f'"removed_ids": [{", ".join(map(str, map(ids.__getitem__, ks)))}], '
+            write(f'{sep}{{"i": {rec.index}, "min": {rec.min_weight}, '
+                  f'"max": {rec.max_weight}, '
+                  f'"min_edges": [{", ".join(map(str, rec.min_edges))}], '
+                  f'"removed_ids": [{", ".join(map(str, map(s.ids.__getitem__, ks)))}], '
                   f'"weights": [{", ".join(blocks)}]}}')
             sep = ", "
+            changed = [*map(s.e1.__getitem__, ks), *map(s.e2.__getitem__, ks),
+                       *map(s.e3.__getitem__, ks)]
+            for e in changed:
+                counts[e] -= 1
         write("[]" if sep == "[" else "]")
-
 
 def full_trace(
     g: Graph,
@@ -324,7 +310,7 @@ def _peel(g: Graph, store: TriangleStore
     lo, hi = 1, len(buckets) - 1
 
     at = [-1] * len(store)
-    removals = _Removals(g, store, at, through)
+    removals = _Removals(g.m, store, at, through)
     alive = len(store)
     records: list[IterationRecord] = []
     while alive:
@@ -357,6 +343,7 @@ def _peel(g: Graph, store: TriangleStore
             min_weight=min_weight,
             max_weight=hi,
             min_edges=tuple(min_edges),
+            removed_count=before - alive,
             _removals=removals,
         ))
         if len(records) > bound:

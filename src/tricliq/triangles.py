@@ -207,16 +207,14 @@ def min_max(counts: Sequence[int]) -> tuple[int, int]:
     return min(positive), max(positive)
 
 
-def edge_weight_vector(g: Graph, triangles: TriangleStore) -> tuple[int, ...]:
-    """counts[j-1] = number of the store's triangles that contain edge j."""
+def weight_vectors(g: Graph, triangles: TriangleStore
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The edge and the vertex weight vectors of the store's triangles,
+    after one check of the store: entry j-1 of the first counts the
+    triangles that contain edge j, entry v-1 of the second those that
+    contain vertex v."""
     s = TriangleStore.of(g, triangles)
-    counts = Counter(chain(s.e1, s.e2, s.e3))
-    return tuple(map(counts.get, range(1, g.m + 1), repeat(0)))
-
-
-def vertex_weight_vector(g: Graph, triangles: TriangleStore) -> tuple[int, ...]:
-    """counts[v-1] = number of the store's triangles that contain vertex v."""
-    s = TriangleStore.of(g, triangles)
-    counts = Counter(chain(s.us, s.vs, s.ws))
-    return tuple(map(counts.get, range(1, g.n + 1), repeat(0)))
-
+    edges = Counter(chain(s.e1, s.e2, s.e3))
+    vertices = Counter(chain(s.us, s.vs, s.ws))
+    return (tuple(map(edges.get, range(1, g.m + 1), repeat(0))),
+            tuple(map(vertices.get, range(1, g.n + 1), repeat(0))))

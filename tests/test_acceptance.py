@@ -26,7 +26,7 @@ from tricliq import (
     max_clique_exact,
     min_max,
     moon_moser,
-    edge_weight_vector,
+    weight_vectors,
 )
 
 from conftest import corpus_graph
@@ -146,7 +146,7 @@ def test_criterion_6_published_summary_as_stated(g2):
 
 def test_criterion_7_turan13_initial_weights(turan13):
     g = turan13.graph
-    w = edge_weight_vector(g, enumerate_triangles(g))
+    w, _ = weight_vectors(g, enumerate_triangles(g))
     assert min_max(w) == (6, 7)
     part = lambda v: (v - 1) // 3 if v <= 9 else 3
     for e in range(1, g.m + 1):

@@ -6,6 +6,9 @@ import pytest
 
 from tricliq import complete, enumerate_triangles, format_edge_list, moon_moser
 from tricliq.cli import main
+from tricliq.triangles import TriangleStore
+
+from conftest import gnp
 
 
 @pytest.fixture()
@@ -82,6 +85,43 @@ def test_triangles_json(capsys, g3_path, g3):
     assert obj["triangles"][0] == {"id": 1, "vertices": [1, 2, 3],
                                    "edges": [1, 2, 8]}
     assert obj["edge_weights"] == g3.expected["p_by_iteration"]["0"]
+
+
+def test_triangles_json_checks_its_listing_once(capsys, monkeypatch, g3_path):
+    checked = []
+    of = TriangleStore.of
+
+    def counted(cls, g, store):
+        checked.append(store)
+        return of(g, store)
+
+    monkeypatch.setattr(TriangleStore, "of", classmethod(counted))
+    code, out, _ = run(capsys, "triangles", g3_path, "--json")
+    assert code == 0 and json.loads(out)["count"] == 39
+    assert len(checked) == 1
+
+
+def test_trace_table_has_one_row_per_logged_record(capsys, tmp_path):
+    # the table's surviving column counts down by each record's removals,
+    # and the log's removed_ids partition the ids 1..T, none empty
+    p = tmp_path / "g30.edges"
+    p.write_text(format_edge_list(gnp(30, 0.5, seed=1)))
+    code, table, _ = run(capsys, "trace", str(p))
+    assert code == 0
+    code, out, _ = run(capsys, "trace", str(p), "--json")
+    assert code == 0
+    log = json.loads(out)
+    header, *rows, footer = table.splitlines()
+    assert header.startswith("i  MIN") and footer.startswith("main iteration: ")
+    assert len(rows) == len(log) > 1
+    alive = sum(len(r["removed_ids"]) for r in log)
+    for row, r in zip(rows, log):
+        assert row.split()[:4] == [str(r["i"]), str(r["min"]), str(r["max"]),
+                                   str(alive)]
+        alive -= len(r["removed_ids"])
+    ids = sorted(c for r in log for c in r["removed_ids"])
+    assert ids == list(range(1, len(ids) + 1))
+    assert all(r["removed_ids"] for r in log)
 
 
 def test_trace_g3_table(capsys, g3_path):
@@ -173,6 +213,19 @@ def test_clique_all_min_edges_g2(capsys, tmp_path, g2):
     assert obj["distinct"] == g2.expected["distinct_cliques"]
 
 
+def test_clique_all_min_edges_moon_moser_4(capsys, tmp_path):
+    # all 54 edges of MM(4) tie at weight 6, so each seeds an extraction
+    # whose candidate subgraph is traced once more to give a 4-clique
+    p = tmp_path / "mm4.edges"
+    p.write_text(format_edge_list(moon_moser(4)))
+    code, out, _ = run(capsys, "clique", str(p), "--all-min-edges", "--json")
+    assert code == 0
+    by_edge = json.loads(out)["by_edge"]
+    assert sorted(map(int, by_edge)) == list(range(1, 55))
+    assert all((r["verified"], r["size"], r["depth"]) == (True, 4, 1)
+               for r in by_edge.values())
+
+
 def test_oracle(capsys, g3_path):
     code, out, _ = run(capsys, "oracle", g3_path, "--json")
     assert code == 0
@@ -180,6 +233,20 @@ def test_oracle(capsys, g3_path):
     assert obj["omega"] == 5
     assert obj["count_maximal"] == 16
     assert obj["nodes_visited"] > 0
+
+
+def test_oracle_cycle_2000(capsys, tmp_path):
+    # every maximal clique of C_2000 is an edge; branch-and-bound visits
+    # the root, the branch on 1 and its edge, then 1997 branches cut at
+    # their first bound
+    p = tmp_path / "c2000.edges"
+    p.write_text("2000 2000\n" + "".join(f"{v} {v % 2000 + 1}\n"
+                                         for v in range(1, 2001)))
+    code, out, _ = run(capsys, "oracle", str(p), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["omega"], obj["count_maximal"], obj["nodes_visited"]) == \
+        (2, 2000, 2000)
 
 
 def test_oracle_maghout(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """The demos' stdout, pinned byte for byte.
 
 Each script under ``demos/`` runs in a process of its own, the way a reader
-runs it, with ``src`` on ``PYTHONPATH``.  The digest is the sha256 of its
+runs it, with the directory that holds the ``tricliq`` these tests import on
+``PYTHONPATH``: ``src`` when the tests run from the checkout, the installed
+copy when they run against an install.  The digest is the sha256 of its
 stdout.  A mismatch prints the output the demo gave.
 """
 
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import tricliq
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,7 +34,7 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_demo_stdout_is_unchanged(name):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(tricliq.__file__).parent.parent))
     run = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                          capture_output=True, check=True, env=env, cwd=ROOT)
     digest = hashlib.sha256(run.stdout).hexdigest()

@@ -174,7 +174,8 @@ class TestMaghout:
         assert err.value.budget == 30
         assert len(maghout_cliques(over_budget, clause_budget=31)) == 2 * 5 * 5 * 5
 
-    @pytest.mark.parametrize("parts", [[3, 4, 5, 3, 4], [2, 3, 4, 4, 3, 2, 2]])
+    @pytest.mark.parametrize("parts", [[3, 4, 5, 3, 4], [2, 3, 4, 4, 3, 2, 2],
+                                       [2, 3, 4]])
     def test_complete_multipartite_family_counts(self, parts):
         # one clique per choice of a vertex from each part
         g = complete_multipartite(parts)

@@ -16,14 +16,13 @@ from tricliq import (
     MODE_EARLY_STOP,
     MODE_EXHAUSTIVE,
     complete,
-    edge_weight_vector,
     enumerate_triangles,
     extract_max_clique,
     full_trace,
     max_clique_exact,
     moon_moser,
     subgraph_for_edge,
-    vertex_weight_vector,
+    weight_vectors,
 )
 from tricliq import pruning
 from tricliq.triangles import TriangleStore
@@ -228,8 +227,22 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
         trace.triangle_by_id(1)
 
 
-@pytest.mark.parametrize("entry", [full_trace, extract_max_clique,
-                                   edge_weight_vector, vertex_weight_vector])
+K4_LISTING = enumerate_triangles(complete(4))
+
+# weight_vectors is listed once under the name of each vector it returns
+ENTRY_POINTS = {
+    "full_trace": lambda g, triangles: full_trace(g, triangles=triangles),
+    "extract_max_clique":
+        lambda g, triangles: extract_max_clique(g, triangles=triangles),
+    "subgraph_for_edge":
+        lambda g, triangles: subgraph_for_edge(g, [1], 1, triangles),
+    "edge_weight_vector": lambda g, triangles: weight_vectors(g, triangles)[0],
+    "vertex_weight_vector": lambda g, triangles: weight_vectors(g, triangles)[1],
+}
+
+
+@pytest.mark.parametrize("entry", ["full_trace", "extract_max_clique",
+                                   "edge_weight_vector", "vertex_weight_vector"])
 @pytest.mark.parametrize("g,triangles,message", [
     # K_5's listing on K_4: its triangle 1, (1,2,3), names (2,3) by K_5's
     # edge 5, and its triangle 3, (1,2,5), names edge 7 of K_5
@@ -253,21 +266,8 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
 def test_triangles_naming_edges_outside_the_graph_are_rejected(
         entry, g, triangles, message):
     with pytest.raises(GraphError) as err:
-        entry(g, triangles=triangles)
+        ENTRY_POINTS[entry](g, triangles)
     assert str(err.value) == message
-
-
-K4_LISTING = enumerate_triangles(complete(4))
-
-ENTRY_POINTS = {
-    "full_trace": lambda g, triangles: full_trace(g, triangles=triangles),
-    "extract_max_clique":
-        lambda g, triangles: extract_max_clique(g, triangles=triangles),
-    "subgraph_for_edge":
-        lambda g, triangles: subgraph_for_edge(g, [1], 1, triangles),
-    "edge_weight_vector": edge_weight_vector,
-    "vertex_weight_vector": vertex_weight_vector,
-}
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -558,7 +558,8 @@ def test_a_trace_holds_no_removal_lists():
     # 162530 triangles.  Beyond the store, a trace holds the per-edge lists
     # of positions, the positions themselves and ``at``: about 72 bytes a
     # triangle.  A tuple of removed ids per record would add about 41.
-    # Writing the log leaves no grouping of those positions by iteration
+    # Writing the log, or reading every record's removed count as the text
+    # table does, leaves no grouping of those positions by iteration
     # behind, which would add about 38 more; records' removed still read.
     g = gnp(200, 0.5, 1)
     store = enumerate_triangles(g)
@@ -569,11 +570,15 @@ def test_a_trace_holds_no_removal_lists():
         held = tracemalloc.get_traced_memory()[0] - before
         trace.write_json(lambda text: None)
         held_after_log = tracemalloc.get_traced_memory()[0] - before
+        removed_count = sum(r.removed_count for r in trace.records)
+        held_after_counts = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(trace.triangles) == len(store) == 162530
     assert held <= 80 * len(store)
     assert held_after_log <= 80 * len(store)
+    assert held_after_counts <= 80 * len(store)
+    assert removed_count == len(store)
     removed = [r.removed for r in trace.records]
     assert removed == [r.removed for r in full_trace(g, triangles=store).records]
     assert sorted(chain.from_iterable(removed)) == list(store.ids)
@@ -594,7 +599,7 @@ def test_records_differing_only_in_their_removals_are_unequal(g1):
     at = list(r.at)
     at[r.store.ids.index(4)] = 1
     other = dataclasses.replace(
-        record, _removals=pruning._Removals(r.graph, r.store, at, r.through))
+        record, _removals=pruning._Removals(r.m, r.store, at, r.through))
     assert (other.index, other.min_weight, other.max_weight, other.min_edges) \
         == (record.index, record.min_weight, record.max_weight, record.min_edges)
     assert (record.removed, other.removed) == ((4, 10, 13, 20), (10, 13, 20))

@@ -9,12 +9,11 @@ from tricliq import (
     Graph,
     GraphError,
     complete,
-    edge_weight_vector,
     enumerate_triangles,
     full_trace,
     min_max,
     moon_moser,
-    vertex_weight_vector,
+    weight_vectors,
 )
 from tricliq.triangles import TriangleStore
 
@@ -98,32 +97,32 @@ class TestEnumeration:
 class TestWeightVectors:
     def test_k4_edge_weights_all_two(self):
         g = complete(4)
-        w = edge_weight_vector(g, enumerate_triangles(g))
+        w, _ = weight_vectors(g, enumerate_triangles(g))
         assert list(w) == [2] * 6
 
     def test_k4_vertex_weights_all_three(self):
         g = complete(4)
-        w = vertex_weight_vector(g, enumerate_triangles(g))
+        _, w = weight_vectors(g, enumerate_triangles(g))
         assert list(w) == [3] * 4
 
     def test_g1_initial_vector_matches_table(self, g1):
-        w = edge_weight_vector(g1.graph, enumerate_triangles(g1.graph))
+        w, _ = weight_vectors(g1.graph, enumerate_triangles(g1.graph))
         assert list(w) == g1.expected["p0"]
         assert min_max(w) == (2, 5)
 
     def test_moon_moser_4_uniform(self):
         g = moon_moser(4)
-        w = edge_weight_vector(g, enumerate_triangles(g))
+        w, _ = weight_vectors(g, enumerate_triangles(g))
         assert set(w) == {6}
 
     def test_moon_moser_3_vertex_weights(self):
         g = moon_moser(3)
-        w = vertex_weight_vector(g, enumerate_triangles(g))
+        _, w = weight_vectors(g, enumerate_triangles(g))
         assert list(w) == [9] * 9
 
     def test_turan13_weights_by_part_pair(self, turan13):
         g = turan13.graph
-        w = edge_weight_vector(g, enumerate_triangles(g))
+        w, _ = weight_vectors(g, enumerate_triangles(g))
         assert list(w) == turan13.expected["p0"]
         part = lambda v: (v - 1) // 3 if v <= 9 else 3
         for e in range(1, g.m + 1):
@@ -135,14 +134,14 @@ class TestWeightVectors:
         g = moon_moser(2)
         empty = enumerate_triangles(g)
         assert len(empty) == 0
-        assert set(edge_weight_vector(g, empty)) == {0}
-        assert set(vertex_weight_vector(g, empty)) == {0}
+        edges, vertices = weight_vectors(g, empty)
+        assert set(edges) == set(vertices) == {0}
 
     # columns: ids, the three vertices, the three edge ids
     def test_out_of_range_edge_rejected(self):
         bogus = TriangleStore([1], [1], [2], [3], [1], [2], [99])
         with pytest.raises(GraphError) as err:
-            edge_weight_vector(complete(3), bogus)
+            weight_vectors(complete(3), bogus)
         assert str(err.value) == (
             "triangle 1 with vertices (1, 2, 3) and edges (1, 2, 99) is not a "
             "triangle of the graph")
@@ -150,7 +149,7 @@ class TestWeightVectors:
     def test_out_of_range_vertex_rejected(self):
         bogus = TriangleStore([1], [1], [2], [99], [1], [2], [3])
         with pytest.raises(GraphError) as err:
-            vertex_weight_vector(complete(3), bogus)
+            weight_vectors(complete(3), bogus)
         assert str(err.value) == (
             "triangle 1 with vertices (1, 2, 99) and edges (1, 2, 3) is not a "
             "triangle of the graph")
@@ -213,7 +212,7 @@ def test_listing_keys_decode_at_the_label_bounds():
 def test_edge_weight_equals_common_neighbor_count(n, p, seed):
     # independent route: weight of (u,v) must equal |N(u) & N(v)|
     g = gnp(n, p, seed)
-    w = edge_weight_vector(g, enumerate_triangles(g))
+    w, _ = weight_vectors(g, enumerate_triangles(g))
     for e in range(1, g.m + 1):
         u, v = g.endpoints(e)
         assert w[e - 1] == len(neighbors(g, u) & neighbors(g, v))
@@ -223,8 +222,8 @@ def test_edge_weight_equals_common_neighbor_count(n, p, seed):
 def test_weight_sums_are_three_times_triangle_count(n, p, seed):
     g = gnp(n, p, seed)
     tris = enumerate_triangles(g)
-    assert sum(edge_weight_vector(g, tris)) == 3 * len(tris)
-    assert sum(vertex_weight_vector(g, tris)) == 3 * len(tris)
+    edges, vertices = weight_vectors(g, tris)
+    assert sum(edges) == sum(vertices) == 3 * len(tris)
 
 
 @settings(max_examples=150, deadline=None)
@@ -242,8 +241,8 @@ def test_column_counts_match_per_triangle_reference(n, p, seed, data):
     store = enumerate_triangles(g)
     ks = sorted(data.draw(st.sets(st.integers(0, len(store) - 1)))) if store else []
     for subset in (store, store.take(ks), store.take([])):
-        assert edge_weight_vector(g, subset) == reference_edge_weights(g, subset)
-        assert vertex_weight_vector(g, subset) == reference_vertex_weights(g, subset)
+        assert weight_vectors(g, subset) == (reference_edge_weights(g, subset),
+                                             reference_vertex_weights(g, subset))
 
 
 @settings(max_examples=150, deadline=None)
