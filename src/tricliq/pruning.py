@@ -9,12 +9,12 @@ the main iteration; clique extraction starts from it.
 The loop is the support-count peel of truss decomposition (Wang & Cheng,
 "Truss decomposition in massive networks", PVLDB 2012), and ``full_trace``
 runs it the same way: each edge's triangle list is built once, and edges sit
-in one bucket per weight.  An iteration takes the minimum bucket and removes
-the live triangles on those edges' lists, each in one step: it is marked with
-its iteration in ``at``, and its three edges move one bucket down.  Every
-edge list is scanned once, so a trace costs O(T + m) bucket and list steps
-plus the sorting of each iteration's minimum edges, where T is the triangle
-count.
+in one bucket per weight.  An iteration takes the minimum bucket whole and
+removes the live triangles on those edges' lists, each in one step: it is
+marked with its iteration in ``at``, and its edges outside the minimum set
+move one bucket down, at most two per triangle.  Every edge list is scanned
+once, so a trace costs O(T + m) bucket and list steps plus the sorting of
+each iteration's minimum edges, where T is the triangle count.
 
 The peel runs on the columns of a ``TriangleStore`` and handles each
 triangle by its position: the per-edge lists are built from the three
@@ -291,8 +291,13 @@ def _peel(g: Graph, store: TriangleStore
     """The records of the trace of ``store``, whose rows are triangles of ``g``,
     and the removal state they share.
 
-    The minimum pointer falls back when a decrement lands below it, and the
-    maximum pointer only moves down.
+    Each iteration empties the minimum bucket at once and sets its edges'
+    weights to 0, the weight each ends the iteration at, before it removes
+    any triangle.  A removed triangle's edges outside the minimum set move
+    one bucket down, at most two per triangle, and a minimum edge is never
+    moved, so none is left behind in a lower bucket.  The minimum pointer
+    falls back when a decrement lands below it, and the maximum pointer only
+    moves down.
     """
     bound = g.n * (g.n - 1) * (g.n - 2) // 6
     e1, e2, e3 = store.e1, store.e2, store.e3
@@ -321,14 +326,43 @@ def _peel(g: Graph, store: TriangleStore
         index = len(records)
         min_weight = lo
         min_edges = sorted(buckets[lo])
+        buckets[lo] = set()
+        for e in min_edges:
+            weight[e] = 0
         before = alive
         for e in min_edges:
             for k in through[e]:
                 if at[k] < 0:
                     at[k] = index
                     alive -= 1
-                    for f in (e1[k], e2[k], e3[k]):
-                        w = weight[f]
+                    # Written out three times, not looped over a fresh
+                    # (e1[k], e2[k], e3[k]) tuple: this is the peel's inner
+                    # step, and the tuple and loop took 7-10% of the peel's
+                    # time.  An edge at weight 0 is a minimum edge already
+                    # taken out of its bucket, so it is not moved.
+                    f = e1[k]
+                    w = weight[f]
+                    if w:
+                        buckets[w].remove(f)
+                        w -= 1
+                        weight[f] = w
+                        if w:
+                            buckets[w].add(f)
+                            if w < lo:
+                                lo = w
+                    f = e2[k]
+                    w = weight[f]
+                    if w:
+                        buckets[w].remove(f)
+                        w -= 1
+                        weight[f] = w
+                        if w:
+                            buckets[w].add(f)
+                            if w < lo:
+                                lo = w
+                    f = e3[k]
+                    w = weight[f]
+                    if w:
                         buckets[w].remove(f)
                         w -= 1
                         weight[f] = w

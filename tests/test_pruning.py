@@ -584,6 +584,40 @@ def test_a_trace_holds_no_removal_lists():
     assert sorted(chain.from_iterable(removed)) == list(store.ids)
 
 
+class CountingSet(set):
+    """A ``set`` that counts the ``remove`` calls made on any instance."""
+
+    removes = 0
+
+    def remove(self, item):
+        CountingSet.removes += 1
+        super().remove(item)
+
+
+@pytest.mark.parametrize("g,moves,triangles", [
+    (gnp(76, 0.5, 1), 15313, 8184),
+    (complete(8), 0, 56),
+    (moon_moser(4), 0, 108),
+], ids=["gnp76", "k8", "mm4"])
+def test_the_peel_moves_only_edges_outside_the_minimum_set(
+        g, moves, triangles, monkeypatch):
+    # each bucket move is one ``remove``, from the bucket an edge leaves.  A
+    # minimum edge ends its iteration at weight 0 whatever it removes, so
+    # the peel moves only the other edges of each removed triangle: at most
+    # two per triangle, and none where every edge is a minimum edge
+    monkeypatch.setattr(pruning, "set", CountingSet, raising=False)
+    CountingSet.removes = 0
+    trace = full_trace(g)
+    edges = {t.id: t.edges for t in trace.triangles}
+    want = 0
+    for r in trace.records:
+        minimum = set(r.min_edges)
+        want += sum(e not in minimum for tid in r.removed for e in edges[tid])
+    assert len(edges) == triangles
+    # a peel that moved all three edges would make 3 * triangles moves
+    assert CountingSet.removes == want == moves <= 2 * triangles
+
+
 def test_records_of_two_traces_of_one_graph_are_equal_and_hash_equal(g3):
     first, second = full_trace(g3.graph).records, full_trace(g3.graph).records
     assert first == second and len(first) == 8
