@@ -2,11 +2,21 @@
 
 Exit codes: 0 success, 1 input error, 2 budget exceeded, out of memory or
 recursion too deep, 3 internal invariant violation.
+
+Each command runs with CPython's cyclic garbage collector paused, and
+``main`` restores the collector's state on every exit.  The pipeline builds
+large acyclic structures (the edge index, neighbour lists, triangle columns
+and per-edge lists), and the collector would rescan them every few hundred
+allocations without finding any garbage: about a tenth of a command's time
+on a sparse graph.  Reference counting alone frees everything a command
+leaves, because the library makes no reference cycles; the tests hold every
+command, error exits included, to leaving nothing for ``gc.collect()``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -295,6 +305,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (GraphError, OSError) as exc:
@@ -314,6 +326,9 @@ def main(argv=None) -> int:
     except (RuntimeError, AssertionError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

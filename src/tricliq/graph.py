@@ -36,7 +36,11 @@ class GraphError(ValueError):
     rejects one of the pairs it was given, and ``None`` otherwise.
     """
 
-    position: int | None = None
+    position: int | None
+
+    def __init__(self, *args, position: int | None = None):
+        super().__init__(*args)
+        self.position = position
 
 
 class VertexRangeError(GraphError):
@@ -83,22 +87,20 @@ class Graph:
             raise VertexRangeError(f"vertex count must be a positive int, got {n!r}")
         edges: list[tuple[int, int]] = []
         up: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        # each error is raised as it is made: held in a local, it would sit
+        # on its own traceback's frame, a cycle only the collector frees
         for i, (u, v) in enumerate(pairs):
             if not (type(u) is int is type(v) and 1 <= u <= n and 1 <= v <= n):
-                exc: GraphError = VertexRangeError(f"edge ({u},{v}) outside 1..{n}")
-            elif u == v:
-                exc = SelfLoopError(f"self-loop at vertex {u}")
-            else:
-                if u > v:
-                    u, v = v, u
-                above_u = up[u]
-                if v not in above_u:
-                    edges.append((u, v))
-                    above_u[v] = i + 1
-                    continue
-                exc = DuplicateEdgeError(f"duplicate edge ({u},{v})")
-            exc.position = i
-            raise exc
+                raise VertexRangeError(f"edge ({u},{v}) outside 1..{n}", position=i)
+            if u == v:
+                raise SelfLoopError(f"self-loop at vertex {u}", position=i)
+            if u > v:
+                u, v = v, u
+            above_u = up[u]
+            if v in above_u:
+                raise DuplicateEdgeError(f"duplicate edge ({u},{v})", position=i)
+            edges.append((u, v))
+            above_u[v] = i + 1
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", len(edges))

@@ -90,13 +90,20 @@ def max_clique_exact(g: Graph, budget: int = 10_000_000) -> OracleResult:
             i = low.bit_length() - 1
             expand(current + [labels[i]], candidates & adj[i])
 
-    expand([], 0)  # the root's visit; its branches follow
-    for i, labels in enumerate(later):
-        if g.n - i <= len(best):
-            break
-        if 1 + len(labels) > len(best):  # else expand cuts it before reading adj
-            adj = _local_masks(labels, later, power)[1]
-        expand([i], (1 << len(labels)) - 1)
+    try:
+        expand([], 0)  # the root's visit; its branches follow
+        for i, labels in enumerate(later):
+            if g.n - i <= len(best):
+                break
+            if 1 + len(labels) > len(best):  # else expand cuts it before reading adj
+                adj = _local_masks(labels, later, power)[1]
+            expand([i], (1 << len(labels)) - 1)
+    finally:
+        # expand reaches itself through its own closure cell; emptying the
+        # cell breaks that cycle, so reference counting frees the closure
+        # and its state on every exit, a budget trip included, with no
+        # help from the cyclic collector
+        del expand
     return OracleResult(frozenset(map(order.__getitem__, best)), len(best),
                         visited, "branch-and-bound")
 
@@ -148,14 +155,19 @@ def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[froze
     power = [1 << i for i in range(top)]
     skip = set(nbrs[degree.index(top, 1)])  # the root's pivot's neighbours
     done: set[int] = set()  # the root's X: branch vertices already searched
-    for v in range(1, g.n + 1):
-        if v in skip:
-            continue
-        labels = sorted(nbrs[v])
-        bit, adj = _local_masks(labels, nbrs, power)
-        x = sum(map(bit.__getitem__, bit.keys() & done))
-        bk((v,), ((1 << len(labels)) - 1) ^ x, x)
-        done.add(v)
+    try:
+        for v in range(1, g.n + 1):
+            if v in skip:
+                continue
+            labels = sorted(nbrs[v])
+            bit, adj = _local_masks(labels, nbrs, power)
+            x = sum(map(bit.__getitem__, bit.keys() & done))
+            bk((v,), ((1 << len(labels)) - 1) ^ x, x)
+            done.add(v)
+    finally:
+        # as in max_clique_exact: bk's cell holds bk, and through it the
+        # whole ``found`` list; emptying it frees them without the collector
+        del bk
     found.sort()
     return tuple(map(frozenset, found))
 

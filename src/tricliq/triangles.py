@@ -172,8 +172,10 @@ def enumerate_triangles(g: Graph) -> TriangleStore:
     O(sum over edges of min(deg u, deg v)) set work (Chiba & Nishizeki
     1985).  A pair whose dicts share no key is skipped by ``isdisjoint``
     before any intersection is built, which is most pairs of a sparse
-    graph.  The sorted run of such w extends all six columns at once: the
-    edge ids of (u, w) and (v, w) are read off the two dicts by ``map``.
+    graph; both sides are key views, so it walks only the smaller dict (a
+    plain dict argument would be walked whole, O(deg v) per pair).  The
+    sorted run of such w extends all six columns at once: the edge ids of
+    (u, w) and (v, w) are read off the two dicts by ``map``.
     """
     up = g._up
     us: list[int] = []
@@ -187,7 +189,7 @@ def enumerate_triangles(g: Graph) -> TriangleStore:
             continue
         for v in sorted(above_u):
             above_v = up[v]
-            if above_u.keys().isdisjoint(above_v):
+            if above_u.keys().isdisjoint(above_v.keys()):
                 continue
             run = sorted(above_u.keys() & above_v.keys())
             k = len(run)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -20,6 +21,26 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 def corpus_graph(i: int) -> Graph:
     """Graph ``i`` of the acceptance corpus: n in 5..24, p in {0.3, 0.5, 0.7}."""
     return gnp(5 + i % 20, (0.3, 0.5, 0.7)[i % 3], seed=i)
+
+
+def cyclic_garbage(call) -> int:
+    """The objects that ``call()`` leaves for the cyclic collector alone.
+
+    The collector is paused and emptied first, so what the second
+    ``gc.collect()`` finds is the garbage in reference cycles that the call
+    made; reference counting has already freed everything else.  The
+    collector's state is restored after.  ``call`` must not let an exception
+    escape: a traceback held here would hold the call's frames.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # one corpus graph in each block of 20, offset so that the slice takes every

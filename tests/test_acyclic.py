@@ -1,0 +1,69 @@
+"""The library makes no reference cycles, so the CLI can run it with the
+cyclic collector paused (see ``tricliq.cli``) and leave no garbage behind.
+
+Each case runs one library call under ``cyclic_garbage``, which counts what
+only the collector could free.  Budget trips and rejected input count too:
+an exception's traceback holds the frames it passed through, so a frame
+that keeps the exception, or a closure that keeps itself, is a cycle.
+"""
+
+import pytest
+
+from tricliq import (
+    BudgetExceededError,
+    Graph,
+    GraphError,
+    cliques_per_min_edge,
+    enumerate_maximal_cliques,
+    extract_max_clique,
+    full_trace,
+    maghout_cliques,
+    max_clique_exact,
+    moon_moser,
+)
+from tricliq.io import loads
+
+from conftest import cyclic_garbage, gnp
+
+
+def raises(error, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, which must raise ``error``; nothing of the
+    exception is kept (``pytest.raises`` would keep its traceback)."""
+    try:
+        call(*args, **kwargs)
+    except error:
+        return
+    raise AssertionError(f"{call.__name__} did not raise {error.__name__}")
+
+
+MM6 = moon_moser(6)
+G30 = gnp(30, 0.5, 1)
+
+CALLS = {
+    "full_trace": lambda: full_trace(G30),
+    "extract_max_clique": lambda: extract_max_clique(G30),
+    "cliques_per_min_edge": lambda: cliques_per_min_edge(G30),
+    "max_clique_exact": lambda: max_clique_exact(MM6),
+    "enumerate_maximal_cliques": lambda: enumerate_maximal_cliques(MM6),
+    "maghout_cliques": lambda: maghout_cliques(moon_moser(3)),
+    # a trip deep in each search, and Maghout's up-front clause count
+    "max_clique_exact-budget": lambda: raises(
+        BudgetExceededError, max_clique_exact, MM6, budget=3),
+    "enumerate_maximal_cliques-budget": lambda: raises(
+        BudgetExceededError, enumerate_maximal_cliques, MM6, budget=3),
+    "maghout_cliques-budget": lambda: raises(
+        BudgetExceededError, maghout_cliques, MM6, clause_budget=3),
+    "graph-vertex-range": lambda: raises(GraphError, Graph, 3, [(1, 2), (1, 4)]),
+    "graph-self-loop": lambda: raises(GraphError, Graph, 3, [(1, 2), (3, 3)]),
+    "graph-duplicate-edge": lambda: raises(GraphError, Graph, 3, [(1, 2), (2, 1)]),
+    # the bulk parser gives up on a rejected pair, then the line parser
+    # rejects it again and names its line
+    "loads-duplicate-edge": lambda: raises(GraphError, loads, "3 2\n1 2\n2 1\n"),
+    "loads-dimacs-duplicate-edge": lambda: raises(
+        GraphError, loads, "p edge 3 2\ne 1 2\ne 2 1\n"),
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_library_calls_leave_no_cyclic_garbage(name):
+    assert cyclic_garbage(CALLS[name]) == 0

@@ -1,14 +1,21 @@
+import gc
 import inspect
 import json
 import sys
 
 import pytest
 
-from tricliq import complete, enumerate_triangles, format_edge_list, moon_moser
-from tricliq.cli import main
+from tricliq import (
+    complete,
+    enumerate_triangles,
+    format_edge_list,
+    load_graph,
+    moon_moser,
+)
+from tricliq.cli import build_parser, main
 from tricliq.triangles import TriangleStore
 
-from conftest import gnp
+from conftest import cyclic_garbage, gnp
 
 
 @pytest.fixture()
@@ -398,3 +405,80 @@ def test_separable_input_warns(capsys, tmp_path):
     code, _, err = run(capsys, "clique", str(p))
     assert code == 0
     assert "warning" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["generate", "moon-moser", "4"], 0),
+    (["triangles", "{g3}"], 0),
+    (["triangles", "{g3}", "--json"], 0),
+    (["trace", "{g3}"], 0),
+    (["trace", "{g3}", "--json"], 0),
+    (["clique", "{g3}"], 0),
+    (["clique", "{g3}", "--json"], 0),
+    (["clique", "{g3}", "--all-min-edges"], 0),
+    (["clique", "{g3}", "--all-min-edges", "--json"], 0),
+    (["oracle", "{mm6}"], 0),
+    (["oracle", "{mm6}", "--method", "maghout"], 0),
+    (["oracle", "{mm6}", "--budget", "3"], 2),
+    (["validate", "{mm6}"], 0),
+    (["validate", "{mm6}", "--budget", "3"], 2),
+    (["clique", "{dup}"], 1),
+], ids=["generate", "triangles", "triangles-json", "trace", "trace-json",
+        "clique", "clique-json", "clique-all", "clique-all-json", "oracle",
+        "oracle-maghout", "oracle-budget", "validate", "validate-budget",
+        "clique-duplicate-edge"])
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, g3_path, argv, expected):
+    # main pauses the cyclic collector, so whatever a command leaves in a
+    # reference cycle stays until some later collection: every exit must
+    # leave nothing.  Building argparse's parser leaves cycles of its own,
+    # once per process, so the shared parser is built before the count.
+    mm6 = tmp_path / "mm6.edges"
+    mm6.write_text(format_edge_list(moon_moser(6)))
+    dup = tmp_path / "dup.edges"
+    dup.write_text("3 2\n1 2\n2 1\n")
+    argv = [a.format(g3=g3_path, mm6=mm6, dup=dup) for a in argv]
+    build_parser()
+    codes = []
+    assert cyclic_garbage(lambda: codes.append(main(argv))) == 0
+    assert codes == [expected]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_pauses_the_collector_and_restores_its_state(
+        capsys, monkeypatch, g3_path, enabled):
+    import tricliq.cli as cli
+
+    during = []
+
+    def watched(path):
+        during.append(gc.isenabled())
+        return load_graph(path)
+
+    def failing(error):
+        def trace(*args, **kwargs):
+            raise error
+        return trace
+
+    monkeypatch.setattr(cli, "load_graph", watched)
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(["oracle", g3_path]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["trace", g3_path + ".missing"]) == 1
+        assert gc.isenabled() is enabled
+        assert main(["oracle", g3_path, "--budget", "2"]) == 2
+        assert gc.isenabled() is enabled
+        assert main(["generate", "nonsense-family", "4"]) == 1  # argparse
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "full_trace", failing(RuntimeError("stuck")))
+        assert main(["trace", g3_path]) == 3
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "full_trace", failing(LookupError("escapes")))
+        with pytest.raises(LookupError):
+            main(["trace", g3_path])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    # each command that got as far as reading its input ran paused
+    assert during == [False] * 5

@@ -191,6 +191,66 @@ def test_listing_matches_brute_force_on_shuffled_edges(n, p, seed):
     assert [(t.vertices, t.edges) for t in tris] == brute_force_triangles(g)
 
 
+def hub(n: int) -> Graph:
+    """A hub at label h = n // 2 + 1 joined to every other vertex, plus the
+    paths 1-2-...-(h-1) and (h+1)-...-n: every vertex below the hub has it
+    as a higher neighbour, and the hub has n - h higher neighbours."""
+    h = n // 2 + 1
+    return Graph(n, [(v, h) for v in range(1, n + 1) if v != h]
+                 + [(v, v + 1) for v in range(1, n) if h not in (v, v + 1)])
+
+
+def chung_lu(n: int, mean_degree: float, exponent: float, seed: int) -> Graph:
+    """Seeded Chung-Lu graph: vertex i gets weight w_i proportional to
+    i^(-1/(exponent-1)), scaled to the mean degree, and each pair is an edge
+    with probability min(1, w_u w_v / sum(w)).  Skewed degrees, a few hubs."""
+    rng = random.Random(seed)
+    raw = [i ** (-1 / (exponent - 1)) for i in range(1, n + 1)]
+    w = [x * mean_degree * n / sum(raw) for x in raw]
+    total = sum(w)
+    return Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2)
+                     if rng.random() < min(1.0, w[u - 1] * w[v - 1] / total)])
+
+
+@pytest.mark.parametrize("g", [hub(41), hub(40), chung_lu(60, 6, 2.2, 1)],
+                         ids=["hub41", "hub40", "chung-lu60"])
+def test_listing_matches_brute_force_on_skewed_degrees(g):
+    tris = enumerate_triangles(g)
+    assert len(tris) > 0
+    assert [(t.vertices, t.edges) for t in tris] == brute_force_triangles(g)
+
+
+class CountingKeys(dict):
+    """An edge-index dict that counts the keys its ``__iter__`` yields."""
+
+    yielded = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            CountingKeys.yielded += 1
+            yield key
+
+
+def test_listing_walks_the_smaller_side_of_each_pair():
+    # view-to-view set operations (``keys().isdisjoint(keys())``,
+    # ``keys() & keys()``) iterate the dicts in C and never call a
+    # subclass's ``__iter__``; iterating a whole dict does, as ``sorted``
+    # does and ``keys().isdisjoint(d)`` does with a plain dict argument.
+    # So the count is the listing's own walks of whole dicts, which must
+    # stay within its O(sum over edges of min(deg u, deg v)) bound: on the
+    # hub graph a walk of the hub's dict per lower neighbour is quadratic.
+    g = hub(4001)
+    up = g._up
+    bound = g.m + sum(min(len(up[u]), len(up[v])) for u, v in g.edges)
+    assert bound == 19991
+    counted = tuple(map(CountingKeys, up))
+    object.__setattr__(g, "_up", counted)  # the test's own copy of the index
+    CountingKeys.yielded = 0
+    tris = enumerate_triangles(g)
+    assert len(tris) == 2 * 1999  # (u, u+1, hub) below it and above it
+    assert CountingKeys.yielded <= bound
+
+
 def test_listing_keys_decode_at_the_label_bounds():
     # the lowest and highest triples of a large vertex range give the
     # smallest and largest keys (u·N + v)·N + w; edges come in reverse file
