@@ -26,15 +26,15 @@ inside H, which costs in proportion to that store, not to the graph's
 triangle count.
 
 Records keep only what each iteration decided: MIN, MAX, the minimum
-edges and how many triangles it removed.  They hold no removal lists:
-``at`` is the one record of removals, and a record's ``removed`` ids are
-read off ``at`` grouped by iteration, a grouping built on the first such
-read.  An iteration's surviving ids are rebuilt from ``at`` when read, so a
-caller pays for them only when it asks, and the JSON log's weights come
-from one decrement replay.  The per-edge lists outlive the peel:
-``IterationRecord.vertices_on`` reads a seed edge's surviving triangles off
-its list in time proportional to the edge's weight, not T, and that is the
-candidate subgraph extraction grows.
+edges and how many triangles it removed.  They hold no removal lists,
+and no read builds any: ``at`` is the one record of removals.  An
+iteration's surviving ids are rebuilt from ``at`` when read, so a caller
+pays for them only when it asks, and the JSON log's weights come from one
+decrement replay.  The per-edge lists outlive the peel, and a record reads
+its own triangles off them in time proportional to an edge's weight, not
+T: ``IterationRecord.removed`` reads its minimum edges' lists, and
+``IterationRecord.vertices_on`` reads a seed edge's surviving triangles,
+the candidate subgraph extraction grows.
 
 The JSON log has one weight vector per record, O(records * m) numbers.
 ``Trace.write_json`` is the one writer of its format: it writes the log one
@@ -66,6 +66,7 @@ class EmptyTraceError(GraphError):
     """The graph has no triangles, so the trace has no main iteration."""
 
 
+@dataclass(frozen=True, eq=False)
 class _Removals:
     """Which iteration removed each triangle, shared by a trace's records.
 
@@ -75,33 +76,10 @@ class _Removals:
     positions of the triangles on edge ``e``, one of the graph's ``m``.
     """
 
-    __slots__ = ("m", "store", "at", "through", "_by_iteration")
-
-    def __init__(self, m: int, store: TriangleStore, at: list[int],
-                 through: dict[int, list[int]]):
-        self.m = m
-        self.store = store
-        self.at = at
-        self.through = through
-        self._by_iteration: list[list[int]] | None = None
-
-    def surviving(self, index: int) -> tuple[int, ...]:
-        return tuple(compress(self.store.ids, map(le, repeat(index), self.at)))
-
-    def grouped(self) -> list[list[int]]:
-        """The positions each iteration removed, ascending: ``at`` grouped,
-        unless ``by_iteration`` has kept a grouping."""
-        groups = self._by_iteration
-        if groups is None:
-            groups = [[] for _ in range(max(self.at, default=-1) + 1)]
-            for k, i in enumerate(self.at):
-                groups[i].append(k)
-        return groups
-
-    def by_iteration(self) -> list[list[int]]:
-        """``grouped()``, kept for the records' later reads."""
-        self._by_iteration = groups = self.grouped()
-        return groups
+    m: int
+    store: TriangleStore
+    at: list[int]
+    through: dict[int, list[int]]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -111,7 +89,8 @@ class IterationRecord:
     ``removed`` is the subset of ``surviving`` touching a minimum-weight
     edge; the next iteration's surviving set is ``surviving`` minus
     ``removed``.  Neither is stored: both are read off the trace's removal
-    state, ``surviving`` in O(T) on each read.  ``removed_count`` is
+    state on each read, ``surviving`` in O(T) and ``removed`` in the summed
+    weights of the minimum edges, whose lists it reads.  ``removed_count`` is
     ``len(removed)``, stored by the peel.  Records compare, hash and print
     by their index, MIN, MAX, minimum edges and removed ids.
     """
@@ -125,12 +104,16 @@ class IterationRecord:
 
     @property
     def surviving(self) -> tuple[int, ...]:
-        return self._removals.surviving(self.index)
+        r = self._removals
+        return tuple(compress(r.store.ids, map(le, repeat(self.index), r.at)))
 
     @property
     def removed(self) -> tuple[int, ...]:
-        r = self._removals
-        return tuple(map(r.store.ids.__getitem__, r.by_iteration()[self.index]))
+        r, index = self._removals, self.index
+        at, through = r.at, r.through
+        ks = sorted({k for e in self.min_edges for k in through[e]
+                     if at[k] == index})
+        return tuple(map(r.store.ids.__getitem__, ks))
 
     def _key(self) -> tuple:
         return (self.index, self.min_weight, self.max_weight, self.min_edges,
@@ -196,9 +179,6 @@ class Trace:
             raise EmptyTraceError("trace is empty: the graph has no triangles")
         return self.records[idx]
 
-    def min_max_sequence(self) -> list[tuple[int, int]]:
-        return [(r.min_weight, r.max_weight) for r in self.records]
-
     def triangle_by_id(self, tid: int) -> Triangle:
         ids = self.triangles.ids
         i = bisect_left(ids, tid)
@@ -226,8 +206,9 @@ class Trace:
         the edges a record's removals touched are re-formatted.  The tokens
         are kept joined in blocks of ``isqrt(m)`` tokens; a record re-joins
         only the blocks that hold a changed edge, then joins the O(sqrt(m))
-        blocks.  Memory stays at one record plus the tokens; the trace keeps
-        no grouping of removals that a record had not built.
+        blocks.  The positions each record removed are grouped from ``at`` in
+        one pass first, and memory stays at that grouping, one record and the
+        tokens; the trace keeps none of them.
         """
         r = self._removals
         s, m = r.store, r.m
@@ -238,8 +219,11 @@ class Trace:
         changed = list(r.through)
         tokens = ["0"] * (m + 1)
         blocks = [", ".join(tokens[lo:lo + width]) for lo in range(1, m + 1, width)]
+        groups: list[list[int]] = [[] for _ in self.records]
+        for k, i in enumerate(r.at):
+            groups[i].append(k)
         sep = "["
-        for rec, ks in zip(self.records, r.grouped()):
+        for rec, ks in zip(self.records, groups):
             for e in changed:
                 tokens[e] = str(counts[e])
             for b in {(e - 1) // width for e in changed}:

@@ -82,7 +82,8 @@ def test_criterion_3_g1_trace_and_seeded_extraction(g1):
     g = g1.graph
     trace = full_trace(g)
     assert trace.to_json_obj()[0]["weights"] == g1.expected["p0"]
-    assert trace.min_max_sequence() == [(2, 5), (2, 4), (3, 3)]
+    assert [(r.min_weight, r.max_weight) for r in trace.records] == [
+        (2, 5), (2, 4), (3, 3)]
     assert trace.main_index == 2
     result = cliques_per_min_edge(g).by_edge[4]
     assert sorted(result.vertices) == [1, 2, 3, 4, 5]

@@ -323,16 +323,16 @@ def test_extraction_reads_no_whole_store(monkeypatch, turan13):
     # a read of IterationRecord.surviving, or a subgraph_for_edge call,
     # scans every triangle of the trace: a seed must touch only its own
     reads = []
-    surviving = pruning._Removals.surviving
+    surviving = pruning.IterationRecord.surviving
 
-    def counted(self, index):
-        reads.append(index)
-        return surviving(self, index)
+    def counted(self):
+        reads.append(self.index)
+        return surviving.fget(self)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("subgraph_for_edge scans every survivor")
 
-    monkeypatch.setattr(pruning._Removals, "surviving", counted)
+    monkeypatch.setattr(pruning.IterationRecord, "surviving", property(counted))
     monkeypatch.setattr(extraction, "subgraph_for_edge", forbidden)
     for g in (turan13.graph, gnp(100, 0.3, 1)):
         assert cliques_per_min_edge(g).by_edge

@@ -50,7 +50,8 @@ class TestG1Trace:
 
     def test_min_max_sequence(self, g1):
         trace = full_trace(g1.graph)
-        assert trace.min_max_sequence() == [(2, 5), (2, 4), (3, 3)]
+        assert [(r.min_weight, r.max_weight) for r in trace.records] == [
+            (2, 5), (2, 4), (3, 3)]
 
     def test_first_removal(self, g1):
         trace = full_trace(g1.graph)
@@ -69,7 +70,7 @@ class TestG1Trace:
 class TestG3Trace:
     def test_eight_iterations(self, g3):
         trace = full_trace(g3.graph)
-        assert trace.min_max_sequence() == [
+        assert [(r.min_weight, r.max_weight) for r in trace.records] == [
             (1, 6), (1, 6), (2, 6), (1, 5), (2, 5), (1, 4), (2, 4), (3, 3)]
 
     def test_published_weight_vectors(self, g3):
@@ -218,7 +219,7 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
     g = complete(5)
     inside = enumerate_triangles(g).inside(frozenset({2, 3, 4, 5}))
     trace = full_trace(g, triangles=inside)
-    assert trace.min_max_sequence() == [(2, 2)]
+    assert [(r.min_weight, r.max_weight) for r in trace.records] == [(2, 2)]
     record = trace.records[0]
     assert record.surviving == record.removed == (7, 8, 9, 10)
     assert trace.to_json_obj()[0]["weights"] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2]
@@ -558,9 +559,9 @@ def test_a_trace_holds_no_removal_lists():
     # 162530 triangles.  Beyond the store, a trace holds the per-edge lists
     # of positions, the positions themselves and ``at``: about 72 bytes a
     # triangle.  A tuple of removed ids per record would add about 41.
-    # Writing the log, or reading every record's removed count as the text
-    # table does, leaves no grouping of those positions by iteration
-    # behind, which would add about 38 more; records' removed still read.
+    # Writing the log, reading every record's removed count as the text
+    # table does, or reading every record's removed ids leaves no grouping
+    # of those positions by iteration behind, which would add about 38 more.
     g = gnp(200, 0.5, 1)
     store = enumerate_triangles(g)
     tracemalloc.start()
@@ -572,13 +573,16 @@ def test_a_trace_holds_no_removal_lists():
         held_after_log = tracemalloc.get_traced_memory()[0] - before
         removed_count = sum(r.removed_count for r in trace.records)
         held_after_counts = tracemalloc.get_traced_memory()[0] - before
+        removed_total = sum(len(r.removed) for r in trace.records)
+        held_after_removed = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(trace.triangles) == len(store) == 162530
     assert held <= 80 * len(store)
     assert held_after_log <= 80 * len(store)
     assert held_after_counts <= 80 * len(store)
-    assert removed_count == len(store)
+    assert held_after_removed <= 80 * len(store)
+    assert removed_count == removed_total == len(store)
     removed = [r.removed for r in trace.records]
     assert removed == [r.removed for r in full_trace(g, triangles=store).records]
     assert sorted(chain.from_iterable(removed)) == list(store.ids)
@@ -618,6 +622,49 @@ def test_the_peel_moves_only_edges_outside_the_minimum_set(
     assert CountingSet.removes == want == moves <= 2 * triangles
 
 
+class UnreadList(list):
+    """A ``list`` that may be indexed but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("a pass over every triangle")
+
+
+class CountingList(list):
+    """A ``list`` that counts the entries iterated from any instance."""
+
+    read = 0
+
+    def __iter__(self):
+        for k in super().__iter__():
+            CountingList.read += 1
+            yield k
+
+
+@pytest.mark.parametrize("g,triangles", [
+    (gnp(76, 0.5, 1), 8184),
+    (complete(8), 56),
+    (moon_moser(4), 108),
+], ids=["gnp76", "k8", "mm4"])
+def test_removed_reads_only_its_minimum_edges_lists(g, triangles):
+    # a record's removed ids are the positions on its minimum edges' lists
+    # that ``at`` marks with its index: ``at`` is indexed, never walked, and
+    # an edge is a minimum edge at most once, so reading every record reads
+    # each list once, three entries per triangle in all
+    trace = full_trace(g)
+    r = trace._removals
+    removals = pruning._Removals(
+        r.m, r.store, UnreadList(r.at),
+        {e: CountingList(ks) for e, ks in r.through.items()})
+    records = [dataclasses.replace(rec, _removals=removals)
+               for rec in trace.records]
+    CountingList.read = 0
+    assert [rec.removed for rec in records] == \
+        [rec.removed for rec in trace.records]
+    on_min_edges = sum(len(r.through[e]) for rec in trace.records
+                       for e in rec.min_edges)
+    assert CountingList.read == on_min_edges == 3 * triangles
+
+
 def test_records_of_two_traces_of_one_graph_are_equal_and_hash_equal(g3):
     first, second = full_trace(g3.graph).records, full_trace(g3.graph).records
     assert first == second and len(first) == 8
@@ -649,8 +696,8 @@ def test_record_repr_shows_its_removals(g1):
 
 @pytest.mark.parametrize("log_first", [False, True])
 def test_removed_is_an_ascending_tuple_of_ids(g3, log_first):
-    # the ids are read off the trace's removal state, whether the JSON log
-    # or a record grouped it first; a subset's ids skip numbers
+    # the ids are read off the trace's removal state, whether or not the
+    # JSON log was written first; a subset's ids skip numbers
     g = complete(7)
     inside = enumerate_triangles(g).inside(frozenset(range(2, 8)))
     for trace, want in (
