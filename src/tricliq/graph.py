@@ -9,12 +9,14 @@ representation: per vertex u, a dict from each higher neighbour v to the id
 of edge (u, v).  That index is the only place a vertex pair is turned into
 an edge id; triangle listing reads it as it is, since Chiba and Nishizeki's
 listing walks exactly these higher neighbours, and ``has_edge``,
-``is_clique`` and ``complement`` read it too.  Memory grows with n + m.  A
-reader that walks every neighbour of every vertex (the nonseparability DFS,
-the exact oracles) asks ``Graph._neighbour_lists`` for lists built from the
-edge list in O(n + m) per call, and the oracles build their bitsets from
-those lists.  There is no one-vertex neighbour or degree view: read from the
-index, it would look up every lower vertex, O(n) per call.
+``is_clique`` and ``complement`` read it too.  Memory grows with n + m, and
+the graph keeps the int objects of the pairs it is given, so pairs that share
+one int per vertex cost less than pairs with an int per endpoint.  A reader
+that walks every neighbour of every vertex (the nonseparability DFS, the
+exact oracles) asks ``Graph._neighbour_lists`` for lists built from the edge
+list in O(n + m) per call, and the oracles build their bitsets from those
+lists.  There is no one-vertex neighbour or degree view: read from the index,
+it would look up every lower vertex, O(n) per call.
 
 The constructor reads the pairs once, in the order given: it checks each
 pair, numbers it and enters it in the edge index, and stops at the first

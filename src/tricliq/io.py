@@ -2,12 +2,23 @@
 
 Each parser has two paths.  A clean file (the header, then one record per
 line of unsigned ASCII decimals, with trailing blanks only) is split into
-tokens once, its integers converted by one ``map`` per column, and the pairs
-handed to ``Graph`` in bulk.  Any other file (comments, blank lines, ``p col``,
-signs, underscores or non-ASCII digits in numbers, an edge count the header
-does not declare), and any file ``Graph`` rejects, goes to the line-by-line
-parser.  That parser is the only source of ``FormatError``, so both paths give
-the same graph, and every error names the same line.
+tokens once, and the pairs are handed to ``Graph`` in bulk.  Any other file
+(comments, blank lines, ``p col``, signs, underscores or non-ASCII digits in
+numbers, an edge count the header does not declare), and any file ``Graph``
+rejects, goes to the line-by-line parser.  That parser is the only source of
+``FormatError``, so both paths give the same graph, and every error names the
+same line.
+
+The bulk path looks its endpoints up in one dict from the canonical decimals
+``"0"`` to ``str(n)`` to their ints, so every endpoint of a label is the same
+int object, and a lookup costs less than an ``int()`` parse.  Any other
+token (leading zeros, a label above n) is ``int()``-ed on its own.  The dict
+is built only when n <= 2m, so it is never larger than the 2m endpoint
+tokens, and n <= ``_LOOKUP_LABELS``: past about 16000 labels its lookups
+miss the CPU cache, and on a file in random edge order they cost more than
+the ``int()`` parses they replace (on 2 vCPUs, Python 3.11, 48000 labels of
+degree 10 parsed in about 1.6x the time).  Without the dict every endpoint
+gets its own int, as ``int()`` gives it.
 """
 
 from __future__ import annotations
@@ -53,6 +64,15 @@ _DIMACS_HEADER = re.compile(r"[ \t]*p[ \t]+edge[ \t]+[0-9]+[ \t]+[0-9]+[ \t]*(?:
                             re.ASCII)
 
 
+_LOOKUP_LABELS = 1 << 14
+
+
+class _Labels(dict):
+    """Canonical decimal -> int; any other digit string is ``int()``-ed."""
+
+    __missing__ = staticmethod(int)
+
+
 def _bulk_graph(text: str, start: int, bad_line: re.Pattern,
                 header_tokens: int, row_tokens: int) -> Graph | None:
     """The graph of a clean file, or ``None`` for the line parser to decide.
@@ -68,12 +88,15 @@ def _bulk_graph(text: str, start: int, bad_line: re.Pattern,
         n, m = int(tokens[header_tokens - 2]), int(tokens[header_tokens - 1])
         if len(tokens) != header_tokens + row_tokens * m:
             return None
+        # one int object per label; the module docstring says when
+        labels = range(n + 1 if n <= min(2 * m, _LOOKUP_LABELS) else 0)
+        label = _Labels(zip(map(str, labels), labels))
         first = header_tokens + row_tokens - 2
-        us = list(map(int, tokens[first::row_tokens]))
-        vs = list(map(int, tokens[first + 1::row_tokens]))
+        us = list(map(label.__getitem__, tokens[first::row_tokens]))
+        vs = list(map(label.__getitem__, tokens[first + 1::row_tokens]))
     except ValueError:  # a digit string past the int conversion limit
         return None
-    del tokens  # the token strings go before the graph is built
+    del tokens, label  # the token strings go before the graph is built
     try:
         return Graph(n, zip(us, vs))
     except GraphError:

@@ -148,8 +148,9 @@ BAD_TOKENS = ["+3", "1_0", "\u0663", "\uff13", "-1", "x", "3.0", "0"]
 def graph_texts(draw):
     """An edge-list or DIMACS text of a small graph, clean or mutated: pairs
     repeated (perhaps flipped), self-loops, endpoints out of range, rows of
-    one or three tokens, comments, blank lines, odd tokens, a wrong edge
-    count, and any of CRLF, tabs, leading and trailing blanks."""
+    one or three tokens, comments, blank lines, odd tokens, labels with
+    leading zeros, a wrong edge count, a header n above 2m with an edge to
+    the label n, and any of CRLF, tabs, leading and trailing blanks."""
     dimacs = draw(st.booleans())
     n = draw(st.integers(1, 8))
     pairs = list(combinations(range(1, n + 1), 2))
@@ -158,9 +159,10 @@ def graph_texts(draw):
             for u, v in chosen]
     count_shift = 0
     vertex = st.integers(1, n).map(str)
-    for kind in draw(st.lists(st.sampled_from([
-            "duplicate", "self-loop", "out-of-range", "short", "long", "split",
-            "token", "comment", "blank", "count"]), max_size=3)):
+    kinds = draw(st.lists(st.sampled_from([
+        "duplicate", "self-loop", "out-of-range", "short", "long", "split",
+        "token", "padded", "comment", "blank", "count", "high"]), max_size=3))
+    for kind in kinds:
         at = draw(st.integers(0, len(rows)))
         if kind == "duplicate" and rows:
             row = draw(st.sampled_from(rows))
@@ -178,12 +180,21 @@ def graph_texts(draw):
         elif kind == "token" and any(rows):
             row = draw(st.sampled_from([row for row in rows if row]))
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        elif kind == "padded" and (data := [row for row in rows
+                                            if row and row[0] not in ("c", "#")]):
+            row = draw(st.sampled_from(data))  # "01", "007"
+            i = draw(st.integers(0, len(row) - 1))
+            row[i] = draw(st.sampled_from(["0", "00"])) + row[i]
         elif kind == "comment":
             rows.insert(at, ["c" if dimacs else "#", "note"])
         elif kind == "blank":
             rows.insert(at, [])
         elif kind == "count":
             count_shift = draw(st.sampled_from([-1, 1]))
+    if "high" in kinds:  # mostly isolated vertices, and a label above 2m
+        m = sum(1 for row in rows if row and row[0] not in ("c", "#")) + 1
+        n = max(n, 2 * m) + draw(st.integers(1, 3))
+        rows.insert(draw(st.integers(0, len(rows))), [draw(vertex), str(n)])
     m = sum(1 for row in rows if row and row[0] not in ("c", "#")) + count_shift
     header = ["p", "edge", str(n), str(m)] if dimacs else [str(n), str(m)]
     lines = [header] + [["e"] + row if dimacs and row and row[0] != "c" else row
@@ -201,6 +212,8 @@ def graph_texts(draw):
 @example((False, "4 2\n1 2 3\n4\n"))  # as many tokens as two good rows
 @example((True, "p edge 4 2\ne 1 2 3\ne 4\n"))
 @example((False, "4 1\n1\r2\n"))  # a lone CR breaks the line
+@example((False, "8 2\n01 2\n3 007\n"))  # leading zeros
+@example((True, "p edge 6 1\ne 6 1\n"))  # n above 2m, and the label n
 def test_bulk_parse_matches_line_parser(case):
     dimacs, text = case
     if dimacs:
@@ -238,20 +251,82 @@ def test_clean_file_takes_the_bulk_path(monkeypatch):
     g = loads(text)
     assert (g.n, g.m) == (12000, 60000)
     assert loads(format_edge_list(g).replace("\n", "\r\n")) == g
+    # n = 2m, and the label n is the lookup's last
+    path = Graph(4, [(1, 2), (4, 3)])
+    assert loads("4 2\n1 2\n4 3\n") == path
+    assert loads("p edge 4 2\ne 1 2\ne 4 3\n") == path
+
+
+@pytest.mark.parametrize("text, in_bulk", [
+    ("8 2\n01 2\n3 007\n", True),            # leading zeros
+    ("p edge 8 2\ne 01 2\ne 3 007\n", True),
+    ("6 1\n1 6\n", True),                    # n above 2m, and a label above 2m
+    ("p edge 6 1\ne 6 1\n", True),
+    ("6 1\n1 07\n", False),                  # ... padded, and out of range
+    ("p edge 6 1\ne 7 1\n", False),
+])
+def test_labels_outside_the_lookup_are_read_in_bulk(text, in_bulk):
+    # a token the lookup lacks is int()-ed on its own; only a graph that
+    # Graph rejects goes to the line parser
+    parse = "_dimacs_lines" if text[0] == "p" else "_edge_list_lines"
+    lines = getattr(io_module, parse)
+    with mock.patch.object(io_module, parse, wraps=lines) as spy:
+        assert _outcome(loads, text) == _outcome(lines, text)
+    assert spy.call_count == (0 if in_bulk else 1)
+
+
+def test_bulk_parse_shares_one_int_per_label():
+    # the 120000 endpoints of 12000 labels are 12000 int objects
+    dimacs = loads(_sparse_dimacs(12000, 60000, seed=7))
+    for g in (dimacs, loads(format_edge_list(dimacs))):
+        labels = {x for e in g.edges for x in e}
+        assert len({id(x) for e in g.edges for x in e}) == len(labels)
+
+
+def _traced(text):
+    """The graph of ``text``, the bytes it holds and the peak bytes of
+    parsing it, both under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        g = loads(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return g, held, peak
 
 
 def test_parsing_a_large_file_costs_little_memory():
     # tokens, pairs and the finished graph: the token list must be gone
-    # before the graph is built
-    text = _sparse_dimacs(12000, 60000, seed=7)
-    tracemalloc.start()
-    try:
-        g = loads(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # before the graph is built.  Python 3.11: 9.08 MiB held (158.6 bytes
+    # per edge) and a 10.61 MiB peak; with an int per endpoint token
+    # instead of one per label, 11.85 MiB (207 bytes per edge) and 13.39.
+    g, held, peak = _traced(_sparse_dimacs(12000, 60000, seed=7))
     assert g.m == 60000
-    assert peak <= 32 << 20
+    assert held <= 185 * g.m
+    assert peak <= 12 << 20
+
+
+def test_label_lookup_is_bounded_by_the_edges():
+    # a lookup over every label up to n would peak at 1.53 times the graph
+    # of this text, n + 1 empty dicts; with none built for n > 2m, the parse
+    # peaks where building that graph does, 1.12 times (Python 3.11)
+    n = io_module._LOOKUP_LABELS
+    g, held, peak = _traced(f"{n} 2\n1 2\n{n - 1} {n}\n")
+    assert (g.n, g.edges) == (n, ((1, 2), (n - 1, n)))
+    assert peak <= 1.25 * held
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_label_lookup_stops_at_its_cap(extra):
+    # past _LOOKUP_LABELS labels no lookup is built, and every endpoint is
+    # int()-ed on its own: on a large file the lookups would cost more
+    n = io_module._LOOKUP_LABELS + extra
+    text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n))
+    g = loads(text)
+    assert g == _edge_list_lines(text)
+    ends = [x for e in g.edges for x in e if x > 256]  # not cached small ints
+    shared = n - 256 if not extra else len(ends)
+    assert len({id(x) for x in ends}) == shared
 
 
 @st.composite
