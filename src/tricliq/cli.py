@@ -22,7 +22,7 @@ import sys
 import time
 from functools import cache
 
-from .extraction import cliques_per_min_edge, extract_max_clique
+from .extraction import CliqueResult, cliques_per_min_edge, extract_max_clique
 from .generators import complete, complete_multipartite, moon_moser
 from .graph import Graph, GraphError, check_nonseparable
 from .io import format_dimacs, format_edge_list, load_graph
@@ -129,6 +129,19 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _clique_json(r: CliqueResult) -> dict:
+    """The JSON object of one extraction result."""
+    return {
+        "vertices": sorted(r.vertices),
+        "size": r.size,
+        "seed_edges": list(r.seed_edges),
+        "depth": r.recursion_depth,
+        "verified": r.is_verified_clique,
+        "degenerate": r.degenerate,
+        "fallback_used": False,  # H shrinks at every level: no fallback
+    }
+
+
 def cmd_clique(args) -> int:
     g = load_graph(args.input)
     _warn_if_separable(g)
@@ -136,7 +149,7 @@ def cmd_clique(args) -> int:
         per_edge = cliques_per_min_edge(g, mode=args.mode)
         if args.json:
             print(json.dumps({
-                "by_edge": {str(e): r.to_json_obj()
+                "by_edge": {str(e): _clique_json(r)
                             for e, r in per_edge.by_edge.items()},
                 "distinct": [sorted(s) for s in per_edge.distinct],
             }))
@@ -148,7 +161,7 @@ def cmd_clique(args) -> int:
         return 0
     result = extract_max_clique(g, mode=args.mode)
     if args.json:
-        print(json.dumps(result.to_json_obj()))
+        print(json.dumps(_clique_json(result)))
     else:
         print(f"clique of size {result.size}: {sorted(result.vertices)}")
         print(f"verified={result.is_verified_clique} "
@@ -323,7 +336,7 @@ def main(argv=None) -> int:
         print("error: input too large: recursion limit exceeded",
               file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
+    except RuntimeError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
     finally:

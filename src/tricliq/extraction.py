@@ -59,19 +59,9 @@ class CliqueResult:
     @property
     def fallback_used(self) -> bool:
         """Always False: H shrinks at every level, so extraction never has to
-        drop a vertex to make progress.  Kept for the JSON schema."""
+        drop a vertex to make progress.  The bench's traced run is its only
+        reader outside the tests; it goes once that run stops reading it."""
         return False
-
-    def to_json_obj(self) -> dict:
-        return {
-            "vertices": sorted(self.vertices),
-            "size": self.size,
-            "seed_edges": list(self.seed_edges),
-            "depth": self.recursion_depth,
-            "verified": self.is_verified_clique,
-            "degenerate": self.degenerate,
-            "fallback_used": self.fallback_used,
-        }
 
 
 def subgraph_for_edge(

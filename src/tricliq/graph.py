@@ -209,9 +209,6 @@ class NonseparabilityReport:
 def check_nonseparable(g: Graph) -> NonseparabilityReport:
     """Run connectivity, bridge and articulation-point checks on ``g``."""
     n = g.n
-    if n == 1:
-        return NonseparabilityReport(True, False, False, 0)
-
     # iterative DFS lowlink (Hopcroft & Tarjan 1973); one outer loop pass
     # per connected component.  A stack entry is (vertex, DFS parent or 0
     # at the root, iterator over the vertex's neighbours).

@@ -34,7 +34,6 @@ class OracleResult:
     vertices: frozenset[int]
     omega: int
     nodes_visited: int
-    method: str
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -105,7 +104,7 @@ def max_clique_exact(g: Graph, budget: int = 10_000_000) -> OracleResult:
         # help from the cyclic collector
         del expand
     return OracleResult(frozenset(map(order.__getitem__, best)), len(best),
-                        visited, "branch-and-bound")
+                        visited)
 
 
 def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[frozenset[int], ...]:

@@ -283,7 +283,6 @@ def _peel(g: Graph, store: TriangleStore
     falls back when a decrement lands below it, and the maximum pointer only
     moves down.
     """
-    bound = g.n * (g.n - 1) * (g.n - 2) // 6
     e1, e2, e3 = store.e1, store.e2, store.e3
     through: defaultdict[int, list[int]] = defaultdict(list)
     for k, a, b, c in zip(count(), e1, e2, e3):
@@ -364,7 +363,4 @@ def _peel(g: Graph, store: TriangleStore
             removed_count=before - alive,
             _removals=removals,
         ))
-        if len(records) > bound:
-            raise RuntimeError(
-                f"trace exceeded its iteration bound {bound}; pruning is stuck")
     return tuple(records), removals

@@ -210,6 +210,21 @@ def test_clique_g3(capsys, g3_path):
     assert obj["size"] == 5 and obj["verified"]
 
 
+@pytest.mark.parametrize("options", [[], ["--all-min-edges"]],
+                         ids=["clique", "all-min-edges"])
+def test_clique_json_schema(capsys, g3_path, options):
+    # the CLI builds these objects; tests/test_cli_outputs.py pins their bytes
+    code, out, _ = run(capsys, "clique", g3_path, *options, "--json")
+    assert code == 0
+    obj = json.loads(out)
+    results = list(obj["by_edge"].values()) if options else [obj]
+    assert results
+    for r in results:
+        assert list(r) == ["vertices", "size", "seed_edges", "depth",
+                           "verified", "degenerate", "fallback_used"]
+        assert r["fallback_used"] is False
+
+
 def test_clique_all_min_edges_g2(capsys, tmp_path, g2):
     p = tmp_path / "g2.edges"
     p.write_text(format_edge_list(g2.graph))

@@ -173,11 +173,6 @@ class TestExtraction:
             r = extract_max_clique(fx.graph)
             assert len(r.witness_triangles) == comb(r.size, 3)
 
-    def test_json_schema(self, g3):
-        obj = extract_max_clique(g3.graph).to_json_obj()
-        assert sorted(obj) == ["degenerate", "depth", "fallback_used",
-                               "seed_edges", "size", "verified", "vertices"]
-
 
 class TestPerEdgeVariants:
     def test_g2_variant_map_matches_cycle_tables(self, g2):

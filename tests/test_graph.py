@@ -2,7 +2,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tricliq import (
     DuplicateEdgeError,
@@ -254,6 +254,7 @@ def small_graphs(draw, max_n=9):
 
 @settings(max_examples=400, deadline=None)
 @given(small_graphs())
+@example(Graph(1, []))  # one isolated vertex takes the DFS like any other
 def test_nonseparability_matches_deletion_reference(g):
     assert check_nonseparable(g) == reference_nonseparable(g)
 
