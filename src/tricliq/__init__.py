@@ -10,9 +10,7 @@ exponentially many cliques are available as generators.
 """
 
 from .extraction import (
-    CliqueResult,
     NoTrianglesThroughEdgeError,
-    PerEdgeCliques,
     cliques_per_min_edge,
     extract_max_clique,
     subgraph_for_edge,
@@ -48,8 +46,6 @@ from .pruning import (
     MODE_EARLY_STOP,
     MODE_EXHAUSTIVE,
     EmptyTraceError,
-    IterationRecord,
-    Trace,
     full_trace,
 )
 from .triangles import (
@@ -58,30 +54,25 @@ from .triangles import (
     min_max,
     weight_vectors,
 )
-from .fixtures import FIXTURE_NAMES, Fixture, load_fixture
+from .fixtures import FIXTURE_NAMES, load_fixture
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CliqueResult",
     "DuplicateEdgeError",
     "EmptyTraceError",
     "EmptyVertexSetError",
     "FIXTURE_NAMES",
-    "Fixture",
     "FormatError",
     "Graph",
     "GraphError",
-    "IterationRecord",
     "MODE_EARLY_STOP",
     "MODE_EXHAUSTIVE",
     "NonseparabilityReport",
     "NoTrianglesThroughEdgeError",
     "OracleResult",
-    "PerEdgeCliques",
     "SelfLoopError",
-    "Trace",
     "Triangle",
     "VertexRangeError",
     "check_nonseparable",

@@ -27,6 +27,8 @@ from .generators import complete, complete_multipartite, moon_moser
 from .graph import Graph, GraphError, check_nonseparable
 from .io import format_dimacs, format_edge_list, load_graph
 from .oracle import (
+    CLAUSE_BUDGET,
+    VISIT_BUDGET,
     BudgetExceededError,
     enumerate_maximal_cliques,
     maghout_cliques,
@@ -94,10 +96,10 @@ def cmd_triangles(args) -> int:
         edge_weights, vertex_weights = weight_vectors(g, tris)
         print(json.dumps({
             "count": len(tris),
-            "triangles": [{"id": t.id, "vertices": list(t.vertices),
-                           "edges": list(t.edges)} for t in tris],
-            "edge_weights": list(edge_weights),
-            "vertex_weights": list(vertex_weights),
+            "triangles": [{"id": t.id, "vertices": t.vertices,
+                           "edges": t.edges} for t in tris],
+            "edge_weights": edge_weights,
+            "vertex_weights": vertex_weights,
         }))
         return 0
     print(f"{len(tris)} triangles")
@@ -298,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run an exact method")
     p.add_argument("input")
     p.add_argument("--method", choices=["search", "maghout"], default="search")
-    p.add_argument("--budget", type=_budget, default=10_000_000)
+    p.add_argument("--budget", type=_budget, default=VISIT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("validate", help="heuristic vs. exact oracles")
     p.add_argument("input")
-    p.add_argument("--budget", type=_budget, default=10_000_000)
-    p.add_argument("--maghout-budget", type=_budget, default=30)
+    p.add_argument("--budget", type=_budget, default=VISIT_BUDGET)
+    p.add_argument("--maghout-budget", type=_budget, default=CLAUSE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 

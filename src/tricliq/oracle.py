@@ -20,6 +20,10 @@ from typing import Iterator, Sequence
 
 from .graph import Graph
 
+# the default budgets: visits of either search, and Maghout's clause cap
+VISIT_BUDGET = 10_000_000
+CLAUSE_BUDGET = 30
+
 
 class BudgetExceededError(RuntimeError):
     """A search or expansion outgrew its explicit budget."""
@@ -54,7 +58,7 @@ def _local_masks(labels: Sequence[int], nbrs: Sequence[Sequence[int]],
                  for nu in map(nbrs.__getitem__, labels)]
 
 
-def max_clique_exact(g: Graph, budget: int = 10_000_000) -> OracleResult:
+def max_clique_exact(g: Graph, budget: int = VISIT_BUDGET) -> OracleResult:
     """A maximum clique by branch and bound over degree-ordered candidates.
 
     Vertices are tried in (-degree, label) order, and a branch is cut once
@@ -107,7 +111,7 @@ def max_clique_exact(g: Graph, budget: int = 10_000_000) -> OracleResult:
                         visited)
 
 
-def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[frozenset[int], ...]:
+def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[frozenset[int], ...]:
     """All maximal cliques via Bron-Kerbosch with a max-degree pivot.
 
     At the root P holds every vertex, so the pivot is a vertex of highest
@@ -171,7 +175,7 @@ def enumerate_maximal_cliques(g: Graph, budget: int = 10_000_000) -> tuple[froze
     return tuple(map(frozenset, found))
 
 
-def maghout_cliques(g: Graph, clause_budget: int = 30) -> tuple[frozenset[int], ...]:
+def maghout_cliques(g: Graph, clause_budget: int = CLAUSE_BUDGET) -> tuple[frozenset[int], ...]:
     """Maximal cliques via Boolean expansion over the complement's edges.
 
     Each non-edge (u,v) of ``g`` contributes a clause (u or v); the product

@@ -26,7 +26,8 @@ inside H, which costs in proportion to that store, not to the graph's
 triangle count.
 
 Records keep only what each iteration decided: MIN, MAX, the minimum
-edges and how many triangles it removed.  They hold no removal lists,
+edges and how many triangles it removed, and they compare, hash and
+print by those stored fields alone.  They hold no removal lists,
 and no read builds any: ``at`` is the one record of removals.  An
 iteration's surviving ids are rebuilt from ``at`` when read, so a caller
 pays for them only when it asks, and the JSON log's weights come from one
@@ -82,7 +83,7 @@ class _Removals:
     through: dict[int, list[int]]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class IterationRecord:
     """One pruning iteration, before its removal is applied.
 
@@ -92,7 +93,8 @@ class IterationRecord:
     state on each read, ``surviving`` in O(T) and ``removed`` in the summed
     weights of the minimum edges, whose lists it reads.  ``removed_count`` is
     ``len(removed)``, stored by the peel.  Records compare, hash and print
-    by their index, MIN, MAX, minimum edges and removed ids.
+    by what the peel stored: index, MIN, MAX, minimum edges and removed
+    count, not by the removal state.
     """
 
     index: int
@@ -100,7 +102,7 @@ class IterationRecord:
     max_weight: int
     min_edges: tuple[int, ...]
     removed_count: int
-    _removals: _Removals
+    _removals: _Removals = field(compare=False, repr=False)
 
     @property
     def surviving(self) -> tuple[int, ...]:
@@ -114,21 +116,6 @@ class IterationRecord:
         ks = sorted({k for e in self.min_edges for k in through[e]
                      if at[k] == index})
         return tuple(map(r.store.ids.__getitem__, ks))
-
-    def _key(self) -> tuple:
-        return (self.index, self.min_weight, self.max_weight, self.min_edges,
-                self.removed)
-
-    def __eq__(self, other: object) -> bool:
-        return (self._key() == other._key() if other.__class__ is self.__class__
-                else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return ("IterationRecord(index={}, min_weight={}, max_weight={}, "
-                "min_edges={}, removed={})".format(*self._key()))
 
     def vertices_on(self, edge: int) -> frozenset[int]:
         """The vertices of the surviving triangles on ``edge``: the candidate
