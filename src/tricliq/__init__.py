@@ -9,12 +9,7 @@ every heuristic answer can be checked, and the graph families with
 exponentially many cliques are available as generators.
 """
 
-from .extraction import (
-    NoTrianglesThroughEdgeError,
-    cliques_per_min_edge,
-    extract_max_clique,
-    subgraph_for_edge,
-)
+from .extraction import cliques_per_min_edge, extract_max_clique
 from .generators import complete, complete_multipartite, moon_moser
 from .graph import (
     DuplicateEdgeError,
@@ -70,7 +65,6 @@ __all__ = [
     "MODE_EARLY_STOP",
     "MODE_EXHAUSTIVE",
     "NonseparabilityReport",
-    "NoTrianglesThroughEdgeError",
     "OracleResult",
     "SelfLoopError",
     "Triangle",
@@ -94,6 +88,5 @@ __all__ = [
     "moon_moser",
     "parse_dimacs",
     "parse_edge_list",
-    "subgraph_for_edge",
     "weight_vectors",
 ]

@@ -38,14 +38,6 @@ from .pruning import MODE_EARLY_STOP, MODE_EXHAUSTIVE, full_trace
 from .triangles import enumerate_triangles, weight_vectors
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _warn_if_separable(g: Graph) -> None:
     report = check_nonseparable(g)
     if not report.is_nonseparable:
@@ -85,7 +77,11 @@ def cmd_generate(args) -> int:
         parts = [_int_param(p) for p in args.params.split(",") if p.strip()]
         g = complete_multipartite(parts)
     text = format_dimacs(g) if args.format == "dimacs" else format_edge_list(g)
-    _emit(text, args.out)
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return 0
 
 

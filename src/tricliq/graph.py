@@ -27,7 +27,7 @@ Hopcroft and Tarjan ("Efficient algorithms for graph manipulation", CACM
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -61,14 +61,18 @@ class EmptyVertexSetError(GraphError):
     """An operation that needs at least one vertex received none."""
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Graph:
     """Undirected simple graph on vertices ``1..n``.
 
-    Immutable after construction, and holding nothing but ``n``, ``m``, the
-    edge list and the edge index.  ``edges[j-1]`` holds the endpoints of
-    edge ``j`` as an ordered pair ``(u, v)`` with ``u < v``, and
-    ``_up[u][v]`` is ``j``: ``_up`` is the edge index, one dict per vertex
-    from its higher neighbours to edge ids (``_up[0]`` is empty).
+    A frozen dataclass holding nothing but ``n``, ``m``, the edge list and
+    the edge index: assigning or deleting a field raises ``AttributeError``,
+    graphs compare and hash by ``n`` and the edge list, and ``copy``,
+    ``deepcopy`` and ``pickle`` give an equal graph.  ``edges[j-1]`` holds
+    the endpoints of edge ``j`` as an ordered pair ``(u, v)`` with
+    ``u < v``, and ``_up[u][v]`` is ``j``: ``_up`` is the edge index, one
+    dict per vertex from its higher neighbours to edge ids (``_up[0]`` is
+    empty).
 
     ``pairs`` may be any iterable, a one-shot iterator included; it is read
     once.  Each pair is checked as it is read: both endpoints exact ints in
@@ -82,7 +86,10 @@ class Graph:
     ``False`` for them and the other queries raise ``GraphError``.
     """
 
-    __slots__ = ("n", "m", "edges", "_up")
+    n: int
+    m: int = field(compare=False)
+    edges: tuple[tuple[int, int], ...] = field(repr=False)
+    _up: tuple[dict[int, int], ...] = field(compare=False, repr=False)
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if type(n) is not int or n < 1:
@@ -108,22 +115,6 @@ class Graph:
         object.__setattr__(self, "m", len(edges))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_up", tuple(up))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.m})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
 
     # -- views ------------------------------------------------------------
 

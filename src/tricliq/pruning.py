@@ -129,11 +129,12 @@ class IterationRecord:
                                map(s.ws.__getitem__, ks)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """The full iteration history of ``triangles``: all of one graph's, or
     the subset passed to ``full_trace``.  It holds the removal state its
-    records share, which ``write_json`` replays."""
+    records share, which ``write_json`` replays.  A trace compares and
+    hashes by identity: its records do not determine that state."""
 
     records: tuple[IterationRecord, ...]
     mode: str

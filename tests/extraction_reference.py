@@ -20,11 +20,11 @@ from tricliq import (
     EmptyVertexSetError,
     Graph,
     MODE_EXHAUSTIVE,
-    NoTrianglesThroughEdgeError,
     enumerate_triangles,
     full_trace,
     is_clique,
 )
+from tricliq.extraction import NoTrianglesThroughEdgeError
 
 from graph_reference import neighbors
 

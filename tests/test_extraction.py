@@ -11,7 +11,6 @@ from tricliq import (
     MODE_EXHAUSTIVE,
     Graph,
     GraphError,
-    NoTrianglesThroughEdgeError,
     cliques_per_min_edge,
     complete,
     enumerate_triangles,
@@ -20,8 +19,8 @@ from tricliq import (
     is_clique,
     max_clique_exact,
     moon_moser,
-    subgraph_for_edge,
 )
+from tricliq.extraction import NoTrianglesThroughEdgeError, subgraph_for_edge
 
 from conftest import gnp
 from extraction_reference import (

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from itertools import combinations
 
@@ -57,9 +59,22 @@ class TestConstruction:
             Graph(0, [])
 
     def test_immutable(self):
-        g = Graph(2, [(1, 2)])
-        with pytest.raises(AttributeError):
-            g.n = 5
+        g = Graph(3, [(1, 2), (3, 2)])
+        for name in ("n", "m", "edges", "_up"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert (g.n, g.m, g.edges) == (3, 2, ((1, 2), (2, 3)))
+        assert repr(g) == "Graph(n=3, m=2)"
+        assert hash(g) == hash((g.n, g.edges))
+        for twin in (copy.copy(g), copy.deepcopy(g),
+                     pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g)
+            assert [twin.has_edge(u, v) for u in range(4) for v in range(4)] \
+                == [g.has_edge(u, v) for u in range(4) for v in range(4)]
+            assert (twin.edge_id(1, 2), twin.edge_id(3, 2)) == (1, 2)
+            assert twin._neighbour_lists() == g._neighbour_lists()
 
     def test_adjacency_incidence_consistent(self):
         g = Graph(4, K4_PAIRS)

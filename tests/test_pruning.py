@@ -21,10 +21,10 @@ from tricliq import (
     full_trace,
     max_clique_exact,
     moon_moser,
-    subgraph_for_edge,
     weight_vectors,
 )
 from tricliq import pruning
+from tricliq.extraction import subgraph_for_edge
 from tricliq.triangles import TriangleStore
 
 from conftest import CORPUS_SLICE, corpus_graph, gnp
@@ -670,6 +670,15 @@ def test_records_of_two_traces_of_one_graph_are_equal_and_hash_equal(g3):
     assert first == second and len(first) == 8
     assert list(map(hash, first)) == list(map(hash, second))
     assert set(first) == set(second) and len(set(first + second)) == 8
+
+
+def test_traces_compare_and_hash_by_identity(g3):
+    # a trace owns its removal state, which its records do not determine,
+    # so two traces of one graph are unequal while their records are equal
+    trace, other = full_trace(g3.graph), full_trace(g3.graph)
+    assert trace == trace and {trace: 1}[trace] == 1
+    assert trace != other and trace.records == other.records
+    assert len({trace, other}) == 2
 
 
 def test_records_differing_only_in_their_removals_are_equal(g1):
