@@ -85,8 +85,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_triangles(args) -> int:
-    g = load_graph(args.input)
+def cmd_triangles(g: Graph, args) -> int:
     tris = enumerate_triangles(g)
     if args.json:
         edge_weights, vertex_weights = weight_vectors(g, tris)
@@ -104,8 +103,7 @@ def cmd_triangles(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    g = load_graph(args.input)
+def cmd_trace(g: Graph, args) -> int:
     _warn_if_separable(g)
     trace = full_trace(g, mode=args.mode)
     if args.json:
@@ -140,8 +138,7 @@ def _clique_json(r: CliqueResult) -> dict:
     }
 
 
-def cmd_clique(args) -> int:
-    g = load_graph(args.input)
+def cmd_clique(g: Graph, args) -> int:
     _warn_if_separable(g)
     if args.all_min_edges:
         per_edge = cliques_per_min_edge(g, mode=args.mode)
@@ -168,8 +165,7 @@ def cmd_clique(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    g = load_graph(args.input)
+def cmd_oracle(g: Graph, args) -> int:
     if args.method == "maghout":
         cliques = maghout_cliques(g, clause_budget=args.budget)
         payload = {
@@ -190,13 +186,11 @@ def cmd_oracle(args) -> int:
     if args.json:
         print(json.dumps(payload))
     else:
-        print(f"omega={payload['omega']} count_maximal={payload['count_maximal']} "
-              f"method={payload['method']} nodes_visited={payload['nodes_visited']}")
+        print(" ".join(f"{k}={v}" for k, v in payload.items()))
     return 0
 
 
-def cmd_validate(args) -> int:
-    g = load_graph(args.input)
+def cmd_validate(g: Graph, args) -> int:
     t0 = time.perf_counter()
     triangles = enumerate_triangles(g)
     heuristic = extract_max_clique(g, triangles=triangles)
@@ -263,6 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triangle-weight clique heuristic, exact oracles, "
                     "and graph-family generators.",
     )
+    # each option that several commands share is declared once, here
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("input")
+    graph.add_argument("--json", action="store_true")
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=[MODE_EXHAUSTIVE, MODE_EARLY_STOP],
+                      default=MODE_EXHAUSTIVE)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_budget, default=VISIT_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a generated graph")
@@ -272,39 +275,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["edges", "dimacs"], default="edges")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("triangles", help="list triangles and weight vectors")
-    p.add_argument("input")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("triangles", parents=[graph],
+                       help="list triangles and weight vectors")
     p.set_defaults(func=cmd_triangles)
 
-    p = sub.add_parser("trace", help="print the pruning iteration table")
-    p.add_argument("input")
-    p.add_argument("--mode", choices=[MODE_EXHAUSTIVE, MODE_EARLY_STOP],
-                   default=MODE_EXHAUSTIVE)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("trace", parents=[graph, mode],
+                       help="print the pruning iteration table")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("clique", help="run the heuristic extraction")
-    p.add_argument("input")
-    p.add_argument("--mode", choices=[MODE_EXHAUSTIVE, MODE_EARLY_STOP],
-                   default=MODE_EXHAUSTIVE)
+    p = sub.add_parser("clique", parents=[graph, mode],
+                       help="run the heuristic extraction")
     p.add_argument("--all-min-edges", action="store_true",
                    help="one extraction per minimum-weight edge")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_clique)
 
-    p = sub.add_parser("oracle", help="run an exact method")
-    p.add_argument("input")
+    p = sub.add_parser("oracle", parents=[graph, budget], help="run an exact method")
     p.add_argument("--method", choices=["search", "maghout"], default="search")
-    p.add_argument("--budget", type=_budget, default=VISIT_BUDGET)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("validate", help="heuristic vs. exact oracles")
-    p.add_argument("input")
-    p.add_argument("--budget", type=_budget, default=VISIT_BUDGET)
+    p = sub.add_parser("validate", parents=[graph, budget],
+                       help="heuristic vs. exact oracles")
     p.add_argument("--maghout-budget", type=_budget, default=CLAUSE_BUDGET)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     return parser
@@ -319,6 +310,8 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
+        if "input" in args:  # every command but generate reads a graph
+            return args.func(load_graph(args.input), args)
         return args.func(args)
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

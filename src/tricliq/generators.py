@@ -25,8 +25,17 @@ def _multipartite(parts: Sequence[int]) -> Graph:
                      for v in range(end + 1, n + 1)])
 
 
+def _check_ints(*values) -> None:
+    """Sizes are exact ints, as ``Graph``'s labels are: ``True`` and ``2.0``
+    equal ints but are no size."""
+    for value in values:
+        if type(value) is not int:
+            raise GraphError(f"expected an int size, got {value!r}")
+
+
 def complete(n: int) -> Graph:
     """Complete graph on n >= 1 vertices; C(n,2) edges."""
+    _check_ints(n)
     if n < 1:
         raise GraphError(f"complete graph needs n >= 1, got {n}")
     return _multipartite([1] * n)
@@ -40,6 +49,7 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
     """
     if len(parts) < 2:
         raise GraphError("complete multipartite graph needs at least 2 parts")
+    _check_ints(*parts)
     if any(s < 1 for s in parts):
         raise GraphError("every part must have size >= 1")
     return _multipartite(parts)
@@ -53,6 +63,7 @@ def moon_moser(k: int) -> Graph:
     cliques, each of size k, which is what makes the family the standard
     worst case for clique enumeration.
     """
+    _check_ints(k)
     if k < 1:
         raise GraphError(f"moon_moser needs k >= 1, got {k}")
     return _multipartite([3] * k)

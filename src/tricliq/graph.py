@@ -75,11 +75,11 @@ class Graph:
     empty).
 
     ``pairs`` may be any iterable, a one-shot iterator included; it is read
-    once.  Each pair is checked as it is read: both endpoints exact ints in
-    ``1..n`` (the message shows the pair as given), then no self-loop, then,
-    with its endpoints ordered, not seen before.  The first pair that fails
-    raises the matching ``GraphError`` subclass with ``position`` set to
-    its 0-based index.  ``n`` must be an exact int too.
+    once.  Each pair is checked as it is read: two values, both exact ints
+    in ``1..n`` (the message shows the pair as given), then no self-loop,
+    then, with its endpoints ordered, not seen before.  The first pair that
+    fails raises the matching ``GraphError`` subclass with ``position`` set
+    to its 0-based index.  ``n`` must be an exact int too.
 
     Labels are exact ints: ``True`` and ``1.0`` equal 1 but name no vertex
     or edge, so a pair holding one is out of range, ``has_edge`` answers
@@ -98,7 +98,12 @@ class Graph:
         up: list[dict[int, int]] = [{} for _ in range(n + 1)]
         # each error is raised as it is made: held in a local, it would sit
         # on its own traceback's frame, a cycle only the collector frees
-        for i, (u, v) in enumerate(pairs):
+        for i, pair in enumerate(pairs):
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise VertexRangeError(f"{pair!r} is not a pair of vertex labels",
+                                       position=i) from None
             if not (type(u) is int is type(v) and 1 <= u <= n and 1 <= v <= n):
                 raise VertexRangeError(f"edge ({u},{v}) outside 1..{n}", position=i)
             if u == v:

@@ -168,11 +168,14 @@ class Trace:
         return self.records[idx]
 
     def triangle_by_id(self, tid: int) -> Triangle:
+        """The triangle with id ``tid``, an exact int: ``True`` and ``1.0``
+        name none."""
         ids = self.triangles.ids
-        i = bisect_left(ids, tid)
-        if i == len(ids) or ids[i] != tid:
-            raise GraphError(f"triangle {tid} is not in this trace")
-        return self.triangles[i]
+        if type(tid) is int:
+            i = bisect_left(ids, tid)
+            if i < len(ids) and ids[i] == tid:
+                return self.triangles[i]
+        raise GraphError(f"triangle {tid!r} is not in this trace")
 
     def to_json_obj(self) -> list[dict]:
         """``json.loads`` of what ``write_json`` writes: one object per

@@ -56,6 +56,7 @@ CALLS = {
     "graph-vertex-range": lambda: raises(GraphError, Graph, 3, [(1, 2), (1, 4)]),
     "graph-self-loop": lambda: raises(GraphError, Graph, 3, [(1, 2), (3, 3)]),
     "graph-duplicate-edge": lambda: raises(GraphError, Graph, 3, [(1, 2), (2, 1)]),
+    "graph-malformed-pair": lambda: raises(GraphError, Graph, 3, [(1, 2), (3,)]),
     # the bulk parser gives up on a rejected pair, then the line parser
     # rejects it again and names its line
     "loads-duplicate-edge": lambda: raises(GraphError, loads, "3 2\n1 2\n2 1\n"),

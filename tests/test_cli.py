@@ -1,7 +1,9 @@
 import gc
 import inspect
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +410,23 @@ def test_validate_enumerates_triangles_once(capsys, monkeypatch, g3_path):
     assert json.loads(out)["triangles"] == 39
     # g3's first candidate subgraph is already a clique, so no recursion
     assert len(calls) == 1
+
+
+def test_readme_command_block_runs_as_written(capsys, monkeypatch, tmp_path):
+    # each ``tricliq ...`` line of the README, trailing comment dropped, in
+    # order in an empty directory: the block writes every file it reads
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line for line in readme.read_text(encoding="utf-8").splitlines()
+             if line.startswith("tricliq ")]
+    monkeypatch.chdir(tmp_path)
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        commands.add(argv[0])
+        code = main(argv)
+        assert code == 0, (line, capsys.readouterr().err)
+    assert commands == {"generate", "triangles", "trace", "clique", "oracle",
+                        "validate"}
 
 
 def test_exit_code_usage_error(capsys):

@@ -77,6 +77,32 @@ def test_generator_argument_errors():
         complete_multipartite([2, 0])
 
 
+
+@pytest.mark.parametrize("make", [
+    lambda: complete(True), lambda: complete(2.0), lambda: complete("2"),
+    lambda: moon_moser(True), lambda: moon_moser(2.0),
+    lambda: complete_multipartite([2, True]),
+    lambda: complete_multipartite([2, 2.0]),
+], ids=["complete-bool", "complete-float", "complete-str", "moon-moser-bool",
+        "moon-moser-float", "multipartite-bool", "multipartite-float"])
+def test_sizes_are_exact_ints(make):
+    # before, True was read as 1 (complete(True) gave K_1) and 2.0 raised
+    # TypeError from ``range``
+    with pytest.raises(GraphError, match="expected an int size, got "):
+        make()
+
+
+def test_messages_for_sizes_below_one():
+    # the CLI prints these, as ``tricliq generate complete 0`` does
+    for make, message in [
+            (lambda: complete(0), "complete graph needs n >= 1, got 0"),
+            (lambda: moon_moser(-1), "moon_moser needs k >= 1, got -1"),
+            (lambda: complete_multipartite([2, 0]),
+             "every part must have size >= 1")]:
+        with pytest.raises(GraphError) as err:
+            make()
+        assert str(err.value) == message
+
 def test_turan13_matches_published_edge_numbering(turan13):
     # the generator's lexicographic order reproduces the reference incidence
     # tables for this graph, e.g. rows for vertices 5, 10, and 13

@@ -333,6 +333,34 @@ class TestLabelsAreExactInts:
         assert str(err.value) == message
         assert err.value.position == len(pairs) - 1
 
+    @pytest.mark.parametrize("pairs,message", [
+        ([(1, 2, 3)], "(1, 2, 3) is not a pair of vertex labels"),
+        ([(1, 2), 1], "1 is not a pair of vertex labels"),
+        ([(1, 2), (3,)], "(3,) is not a pair of vertex labels"),
+        ([(1, 3), None], "None is not a pair of vertex labels"),
+    ], ids=["three-values", "int", "one-value", "none"])
+    def test_construction_rejects_a_pair_that_is_not_two_values(
+            self, pairs, message):
+        # before, these raised a bare ValueError or TypeError from unpacking,
+        # with no position
+        with pytest.raises(VertexRangeError) as err:
+            Graph(3, iter(pairs))
+        assert str(err.value) == message
+        assert err.value.position == len(pairs) - 1
+
+    def test_construction_passes_on_what_iterating_the_pairs_raises(self):
+        # only a pair that is read can be malformed: an error from the
+        # iterable itself, or a non-iterable ``pairs``, is not a GraphError
+        def failing():
+            yield (1, 2)
+            raise ValueError("no more pairs")
+
+        with pytest.raises(ValueError, match="no more pairs") as err:
+            Graph(3, failing())
+        assert not isinstance(err.value, GraphError)
+        with pytest.raises(TypeError):
+            Graph(3, 5)
+
     @pytest.mark.parametrize("n", [3.0, True, "3"])
     def test_construction_rejects_them_as_the_vertex_count(self, n):
         with pytest.raises(VertexRangeError) as err:

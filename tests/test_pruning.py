@@ -228,6 +228,17 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
         trace.triangle_by_id(1)
 
 
+
+@pytest.mark.parametrize("tid", [True, 1.0, "1", None])
+def test_triangle_by_id_takes_exact_int_ids(g3, tid):
+    # before, True and 1.0 found triangle 1, as ``bisect`` compares across
+    # numeric types
+    trace = full_trace(g3.graph)
+    assert trace.triangle_by_id(1).id == 1
+    with pytest.raises(GraphError) as err:
+        trace.triangle_by_id(tid)
+    assert str(err.value) == f"triangle {tid!r} is not in this trace"
+
 K4_LISTING = enumerate_triangles(complete(4))
 
 # weight_vectors is listed once under the name of each vector it returns
