@@ -65,10 +65,16 @@ def max_clique_exact(g: Graph, budget: int = VISIT_BUDGET) -> OracleResult:
     the current clique plus every remaining candidate cannot beat the best
     found.  The root's branch on v searches v's later neighbours alone, so
     its visits and budget trips are those of one search over all n vertices.
+    A branch that the bound cuts at once is counted as its one visit without
+    a call.
     """
     nbrs = g._neighbour_lists()
-    order = sorted(g.vertices(), key=lambda v: (-len(nbrs[v]), v))
-    position = {v: i for i, v in enumerate(order)}
+    degree = list(map(len, nbrs))
+    # a stable sort keeps equal degrees in label order: (-degree, label)
+    order = sorted(g.vertices(), key=degree.__getitem__, reverse=True)
+    position = [0] * (g.n + 1)
+    for i, v in enumerate(order):
+        position[v] = i
     # later[i]: the positions after i of the neighbours of order[i], ascending
     later = [sorted(filter(i.__lt__, map(position.__getitem__, nbrs[v])))
              for i, v in enumerate(order)]
@@ -98,9 +104,13 @@ def max_clique_exact(g: Graph, budget: int = VISIT_BUDGET) -> OracleResult:
         for i, labels in enumerate(later):
             if g.n - i <= len(best):
                 break
-            if 1 + len(labels) > len(best):  # else expand cuts it before reading adj
+            if 1 + len(labels) > len(best):
                 adj = _local_masks(labels, later, power)[1]
-            expand([i], (1 << len(labels)) - 1)
+                expand([i], (1 << len(labels)) - 1)
+            else:  # expand would cut this branch at its first bound: one visit
+                visited += 1
+                if visited > budget:
+                    raise BudgetExceededError("max-clique search", budget)
     finally:
         # expand reaches itself through its own closure cell; emptying the
         # cell breaks that cycle, so reference counting frees the closure
@@ -118,8 +128,10 @@ def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[fro
     degree, lowest label on ties, and the root branches on the vertices
     outside its neighbourhood, lowest first.  Each such branch v searches
     only N(v), in label order: P and X are bitsets over it, and R is a tuple
-    of labels.  So every pivot, visit and budget trip is that of the search
-    over all vertex labels.
+    of labels.  A branch whose N(v) holds no edge (v is on no triangle) is
+    settled in one step: its maximal cliques are v's edges to the vertices
+    not yet searched, or {v} alone.  So every pivot, visit and budget trip
+    is that of the search over all vertex labels.
 
     Output is sorted by vertex tuple, so it is a canonical value independent
     of pivot choices.
@@ -164,8 +176,21 @@ def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[fro
                 continue
             labels = sorted(nbrs[v])
             bit, adj = _local_masks(labels, nbrs, power)
-            x = sum(map(bit.__getitem__, bit.keys() & done))
-            bk((v,), ((1 << len(labels)) - 1) ^ x, x)
+            if any(adj):
+                x = sum(map(bit.__getitem__, bit.keys() & done))
+                bk((v,), ((1 << len(labels)) - 1) ^ x, x)
+            else:
+                # no edge inside N(v): bk would visit this branch and then
+                # one leaf per neighbour w not yet searched, each the
+                # maximal clique {v, w}, or the leaf {v} if v is isolated
+                ws = [w for w in labels if w not in done]
+                visited += 1 + len(ws)
+                if visited > budget:
+                    raise BudgetExceededError("maximal-clique enumeration", budget)
+                if labels:
+                    found.extend((w, v) if w < v else (v, w) for w in ws)
+                else:
+                    found.append((v,))
             done.add(v)
     finally:
         # as in max_clique_exact: bk's cell holds bk, and through it the

@@ -38,6 +38,9 @@ def raises(error, call, *args, **kwargs):
 
 MM6 = moon_moser(6)
 G30 = gnp(30, 0.5, 1)
+C8 = Graph(8, [(v, v % 8 + 1) for v in range(1, 9)])
+# test_oracle.py's graph for a branch cut at its first bound
+CUT7 = Graph(7, [(1, 2), (1, 3), (2, 3), (4, 5), (6, 7)])
 
 CALLS = {
     "full_trace": lambda: full_trace(G30),
@@ -51,6 +54,13 @@ CALLS = {
         BudgetExceededError, max_clique_exact, MM6, budget=3),
     "enumerate_maximal_cliques-budget": lambda: raises(
         BudgetExceededError, enumerate_maximal_cliques, MM6, budget=3),
+    # trips where each search counts visits without a call: inside C_8's
+    # first branch, which has no edge inside N(1), and on the 7-vertex
+    # graph's branch on 2, which the bound cuts at once
+    "enumerate_maximal_cliques-budget-settled-branch": lambda: raises(
+        BudgetExceededError, enumerate_maximal_cliques, C8, budget=3),
+    "max_clique_exact-budget-cut-branch": lambda: raises(
+        BudgetExceededError, max_clique_exact, CUT7, budget=5),
     "maghout_cliques-budget": lambda: raises(
         BudgetExceededError, maghout_cliques, MM6, clause_budget=3),
     "graph-vertex-range": lambda: raises(GraphError, Graph, 3, [(1, 2), (1, 4)]),

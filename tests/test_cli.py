@@ -357,6 +357,12 @@ def test_negative_budget_is_an_argument_error(capsys, g3_path, argv):
     assert "must be at least 0" in err and "budget exceeded" not in err
 
 
+def test_non_integer_budget_is_an_argument_error(capsys, g3_path):
+    code, out, err = run(capsys, "oracle", g3_path, "--budget", "abc")
+    assert (code, out) == (1, "")
+    assert "invalid int value: 'abc'" in err
+
+
 def test_zero_budget_is_exceeded_at_once(capsys, g3_path):
     code, _, err = run(capsys, "oracle", g3_path, "--budget", "0")
     assert code == 2

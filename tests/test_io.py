@@ -90,6 +90,20 @@ def test_range_error_names_the_pair_as_given(parse, text):
     assert str(err.value) == "line 2: edge (5,3) outside 1..3"
 
 
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_edge_list, "", "empty input"),
+    (parse_dimacs, "p foo 1 2", "expected 'p edge n m'"),
+    (parse_dimacs, "p edge x y", "expected integers in problem line"),
+    (parse_dimacs, "c hi", "missing problem line"),
+], ids=["empty", "problem-kind", "problem-ints", "no-problem-line"])
+def test_line_parser_messages(parse, text, message):
+    # loads rejects empty input before either parser sees it, so the edge
+    # list's own "empty input" is reached by calling it directly
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert str(err.value) == f"line 1: {message}"
+
+
 def test_dimacs_errors():
     with pytest.raises(FormatError):
         parse_dimacs("e 1 2\n")  # edge before problem line

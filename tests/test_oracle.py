@@ -267,6 +267,32 @@ def test_enumeration_matches_visit_reference(g, data):
     assert_enumeration_matches_visit_reference(g)
 
 
+def test_triangle_free_branches_are_settled_in_one_step():
+    # K_4 on 1..4, the star 5-6..9, the path 10-11-12 and the isolated 13.
+    # The root's pivot is the star's centre 5 (degree 4), so the root
+    # branches on 1..5 and 10..13.  Bron-Kerbosch searches the branches on
+    # 1..4; each of the others has no edge inside N(v) and is settled in one
+    # step: 5 with four leaves, 10 and 11 with one each (11's other
+    # neighbour 10 is already searched), 12 with P empty and X = {11}, and
+    # 13 with the leaf {13}.  Every budget below the visit count trips
+    # where the reference's does: 0 at the root, and inside settled
+    # branches too
+    g = Graph(13, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+                   (5, 6), (5, 7), (5, 8), (5, 9), (10, 11), (11, 12)])
+    cliques, visited = reference_bron_kerbosch(g)
+    assert [sorted(c) for c in cliques] == [
+        [1, 2, 3, 4], [5, 6], [5, 7], [5, 8], [5, 9], [10, 11], [11, 12], [13]]
+    # the root, 4 + 1 + 1 + 1 on the K_4, 1 + 4 on 5, 2 on 10, 2 on 11,
+    # 1 on 12 and 1 on 13
+    assert visited == 19
+    assert enumerate_maximal_cliques(g, budget=visited) == cliques
+    for budget in range(visited):
+        with pytest.raises(BudgetExceededError):
+            reference_bron_kerbosch(g, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            enumerate_maximal_cliques(g, budget=budget)
+
+
 def assert_search_matches_list_reference(g: Graph) -> None:
     # same search tree: same clique, same size, same node count, and the
     # budget trips at exactly the same node
