@@ -2,9 +2,10 @@
 
 ``max_clique_exact`` and ``enumerate_maximal_cliques`` are a bitset
 branch-and-bound and a pivoting Bron-Kerbosch enumeration.  Each call asks
-the graph once for its neighbour lists and searches each of the root's
-branches over bitsets from ``_local_masks``, one bit per neighbour of the
-branch vertex (per later one in the branch-and-bound), never n bits wide.
+the graph once for its neighbour lists and searches the root's branches
+over bitsets from ``_local_masks``, one bit per neighbour of the branch
+vertex (per later one in the branch-and-bound), never n bits wide; the
+enumeration builds them only for the vertices on a triangle.
 ``maghout_cliques`` takes the entirely different Boolean route: expand the
 product of (u or v) clauses over the complement's edges, one connected
 component of the complement at a time, reduce to minimal terms by
@@ -128,10 +129,14 @@ def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[fro
     degree, lowest label on ties, and the root branches on the vertices
     outside its neighbourhood, lowest first.  Each such branch v searches
     only N(v), in label order: P and X are bitsets over it, and R is a tuple
-    of labels.  A branch whose N(v) holds no edge (v is on no triangle) is
-    settled in one step: its maximal cliques are v's edges to the vertices
-    not yet searched, or {v} alone.  So every pivot, visit and budget trip
-    is that of the search over all vertex labels.
+    of labels.  Before the root's loop, one pass over the neighbour lists
+    finds the vertices on a triangle, testing each edge once from its lower
+    end for a common neighbour (as in the listing of Chiba & Nishizeki,
+    1985).  Only their branches build bitsets.  A branch whose N(v) holds no
+    edge (v is on no triangle) is settled in one step: its maximal cliques
+    are v's edges to the vertices not yet searched, or {v} alone.  So every
+    pivot, visit and budget trip is that of the search over all vertex
+    labels.
 
     Output is sorted by vertex tuple, so it is a canonical value independent
     of pivot choices.
@@ -165,6 +170,17 @@ def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[fro
             p &= ~bit
             x |= bit
 
+    # on_triangle[v]: v is on a triangle, i.e. N(v) holds an edge.  Each edge
+    # (u, v), u < v, is tested once, from u; a vertex that is marked with all
+    # its neighbours has no edge left that could mark anything
+    on_triangle = bytearray(g.n + 1)
+    for u, nu in enumerate(nbrs):
+        if on_triangle[u] and all(map(on_triangle.__getitem__, nu)):
+            continue
+        local = set(nu)
+        for v in nu:
+            if v > u and not local.isdisjoint(nbrs[v]):
+                on_triangle[u] = on_triangle[v] = 1
     degree = list(map(len, nbrs))
     top = max(degree)
     power = [1 << i for i in range(top)]
@@ -175,8 +191,8 @@ def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[fro
             if v in skip:
                 continue
             labels = sorted(nbrs[v])
-            bit, adj = _local_masks(labels, nbrs, power)
-            if any(adj):
+            if on_triangle[v]:
+                bit, adj = _local_masks(labels, nbrs, power)
                 x = sum(map(bit.__getitem__, bit.keys() & done))
                 bk((v,), ((1 << len(labels)) - 1) ^ x, x)
             else:

@@ -18,6 +18,21 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, pairs)
 
 
+def planted_sparse(n: int, degree: int, sizes: list[int], seed: int) -> Graph:
+    """Seeded sparse graph: disjoint cliques of ``sizes`` on random vertices,
+    then uniform random pairs until there are n * degree / 2 edges."""
+    rng = random.Random(seed)
+    chosen = rng.sample(range(1, n + 1), sum(sizes))
+    edges = set()
+    for k in sizes:
+        clique, chosen = sorted(chosen[:k]), chosen[k:]
+        edges.update((u, v) for i, u in enumerate(clique) for v in clique[i + 1:])
+    while len(edges) < n * degree // 2:
+        u, v = sorted(rng.sample(range(1, n + 1), 2))
+        edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
 def corpus_graph(i: int) -> Graph:
     """Graph ``i`` of the acceptance corpus: n in 5..24, p in {0.3, 0.5, 0.7}."""
     return gnp(5 + i % 20, (0.3, 0.5, 0.7)[i % 3], seed=i)

@@ -41,6 +41,10 @@ G30 = gnp(30, 0.5, 1)
 C8 = Graph(8, [(v, v % 8 + 1) for v in range(1, 9)])
 # test_oracle.py's graph for a branch cut at its first bound
 CUT7 = Graph(7, [(1, 2), (1, 3), (2, 3), (4, 5), (6, 7)])
+# test_oracle.py's graph for settled branches: K_4 on 1..4, the star 5-6..9,
+# the path 10-11-12 and the isolated 13
+MIXED13 = Graph(13, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+                     (5, 6), (5, 7), (5, 8), (5, 9), (10, 11), (11, 12)])
 
 CALLS = {
     "full_trace": lambda: full_trace(G30),
@@ -59,6 +63,12 @@ CALLS = {
     # graph's branch on 2, which the bound cuts at once
     "enumerate_maximal_cliques-budget-settled-branch": lambda: raises(
         BudgetExceededError, enumerate_maximal_cliques, C8, budget=3),
+    # on one graph with both kinds of branch: inside the branch on 1, whose
+    # vertex is on a triangle, and inside the one on 5 (visits 9-13), settled
+    "enumerate_maximal_cliques-budget-flagged-branch": lambda: raises(
+        BudgetExceededError, enumerate_maximal_cliques, MIXED13, budget=3),
+    "enumerate_maximal_cliques-budget-mixed-settled-branch": lambda: raises(
+        BudgetExceededError, enumerate_maximal_cliques, MIXED13, budget=10),
     "max_clique_exact-budget-cut-branch": lambda: raises(
         BudgetExceededError, max_clique_exact, CUT7, budget=5),
     "maghout_cliques-budget": lambda: raises(

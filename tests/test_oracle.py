@@ -14,9 +14,10 @@ from tricliq import (
     maghout_cliques,
     max_clique_exact,
     moon_moser,
+    oracle,
 )
 
-from conftest import corpus_graph, gnp
+from conftest import corpus_graph, gnp, planted_sparse
 from graph_reference import neighbors
 from oracle_reference import (
     absorb_masks,
@@ -267,6 +268,10 @@ def test_enumeration_matches_visit_reference(g, data):
     assert_enumeration_matches_visit_reference(g)
 
 
+SETTLED13 = Graph(13, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+                    (5, 6), (5, 7), (5, 8), (5, 9), (10, 11), (11, 12)])
+
+
 def test_triangle_free_branches_are_settled_in_one_step():
     # K_4 on 1..4, the star 5-6..9, the path 10-11-12 and the isolated 13.
     # The root's pivot is the star's centre 5 (degree 4), so the root
@@ -277,8 +282,7 @@ def test_triangle_free_branches_are_settled_in_one_step():
     # 13 with the leaf {13}.  Every budget below the visit count trips
     # where the reference's does: 0 at the root, and inside settled
     # branches too
-    g = Graph(13, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
-                   (5, 6), (5, 7), (5, 8), (5, 9), (10, 11), (11, 12)])
+    g = SETTLED13
     cliques, visited = reference_bron_kerbosch(g)
     assert [sorted(c) for c in cliques] == [
         [1, 2, 3, 4], [5, 6], [5, 7], [5, 8], [5, 9], [10, 11], [11, 12], [13]]
@@ -291,6 +295,66 @@ def test_triangle_free_branches_are_settled_in_one_step():
             reference_bron_kerbosch(g, budget=budget)
         with pytest.raises(BudgetExceededError):
             enumerate_maximal_cliques(g, budget=budget)
+
+
+def count_mask_builds(monkeypatch) -> list[list[int]]:
+    """Wrap ``_local_masks`` so that each call records the branch's labels."""
+    calls: list[list[int]] = []
+    real = oracle._local_masks
+
+    def counting(labels, nbrs, power):
+        calls.append(list(labels))
+        return real(labels, nbrs, power)
+
+    monkeypatch.setattr(oracle, "_local_masks", counting)
+    return calls
+
+
+def flagged_root_branches(g: Graph) -> list[int]:
+    """The root branches of Bron-Kerbosch whose vertex is on a triangle,
+    read off ``g.edges``: the vertices outside the neighbourhood of the
+    pivot (highest degree, lowest label) that have an edge inside theirs."""
+    nbr = [set() for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    on_triangle = {v for u, w in g.edges for v in (u, w) if nbr[u] & nbr[w]}
+    pivot = max(g.vertices(), key=lambda v: (len(nbr[v]), -v))
+    return [v for v in g.vertices() if v not in nbr[pivot] and v in on_triangle]
+
+
+def test_only_branches_of_vertices_on_a_triangle_build_bitsets(monkeypatch):
+    # of the root branches 1..5 and 10..13, only those on the K_4 are on a
+    # triangle
+    g = SETTLED13
+    calls = count_mask_builds(monkeypatch)
+    assert enumerate_maximal_cliques(g) == reference_bron_kerbosch(g)[0]
+    assert len(calls) == 4 == len(flagged_root_branches(g))
+
+
+def test_a_sparse_graph_builds_bitsets_for_its_triangles_alone(monkeypatch):
+    # degree 10 with cliques of 6 and 8 planted, as the bench's validate
+    # graph: most of the root branches are on no triangle
+    g = planted_sparse(3000, 10, [6, 8], seed=1)
+    flagged = flagged_root_branches(g)
+    calls = count_mask_builds(monkeypatch)
+    cliques = enumerate_maximal_cliques(g)
+    assert len(calls) == len(flagged)
+    assert 0 < len(flagged) < g.n // 4
+    assert max(map(len, cliques)) == 8
+
+
+def test_a_triangle_on_the_pivots_neighbours_flags_its_third_vertex(monkeypatch):
+    # 1 is the pivot (degree 5), so the root skips its neighbours 2..6 and
+    # branches on 1 and 7.  7's one triangle, (2, 3, 7), has its other two
+    # vertices in N(1): the pass must still flag 7, or the branch on 7
+    # would be settled as the two edges {2, 7} and {3, 7}
+    g = Graph(7, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 7), (3, 7)])
+    calls = count_mask_builds(monkeypatch)
+    assert flagged_root_branches(g) == [1, 7]
+    assert_enumeration_matches_visit_reference(g)
+    assert [2, 3] in calls
+    assert {2, 3, 7} in enumerate_maximal_cliques(g)
 
 
 def assert_search_matches_list_reference(g: Graph) -> None:
