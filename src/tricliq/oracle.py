@@ -130,9 +130,10 @@ def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[fro
     outside its neighbourhood, lowest first.  Each such branch v searches
     only N(v), in label order: P and X are bitsets over it, and R is a tuple
     of labels.  Before the root's loop, one pass over the neighbour lists
-    finds the vertices on a triangle, testing each edge once from its lower
-    end for a common neighbour (as in the listing of Chiba & Nishizeki,
-    1985).  Only their branches build bitsets.  A branch whose N(v) holds no
+    finds the vertices on a triangle, testing each edge once for a common
+    neighbour from its end of higher degree, as in the listing of Chiba &
+    Nishizeki (1985), so each test scans the other end's shorter list.
+    Only their branches build bitsets.  A branch whose N(v) holds no
     edge (v is on no triangle) is settled in one step: its maximal cliques
     are v's edges to the vertices not yet searched, or {v} alone.  So every
     pivot, visit and budget trip is that of the search over all vertex
@@ -170,18 +171,19 @@ def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[fro
             p &= ~bit
             x |= bit
 
-    # on_triangle[v]: v is on a triangle, i.e. N(v) holds an edge.  Each edge
-    # (u, v), u < v, is tested once, from u; a vertex that is marked with all
-    # its neighbours has no edge left that could mark anything
-    on_triangle = bytearray(g.n + 1)
-    for u, nu in enumerate(nbrs):
-        if on_triangle[u] and all(map(on_triangle.__getitem__, nu)):
-            continue
-        local = set(nu)
-        for v in nu:
-            if v > u and not local.isdisjoint(nbrs[v]):
-                on_triangle[u] = on_triangle[v] = 1
+    # on_triangle[v]: v is on a triangle, i.e. N(v) holds an edge.  The
+    # vertices are passed in (degree, label) order, and each edge is tested
+    # once, from its later end u, so ``isdisjoint`` scans the shorter list:
+    # O(arboricity * m) in all, where label order is quadratic on a star
     degree = list(map(len, nbrs))
+    on_triangle = bytearray(g.n + 1)
+    passed = bytearray(g.n + 1)
+    for u in sorted(range(1, g.n + 1), key=degree.__getitem__):
+        passed[u] = 1
+        local = set(nbrs[u])
+        for v in nbrs[u]:
+            if passed[v] and not local.isdisjoint(nbrs[v]):
+                on_triangle[u] = on_triangle[v] = 1
     top = max(degree)
     power = [1 << i for i in range(top)]
     skip = set(nbrs[degree.index(top, 1)])  # the root's pivot's neighbours

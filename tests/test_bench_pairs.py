@@ -39,7 +39,7 @@ def run(parent: str, change: str, pairs: int = 2) -> int:
                              "--pairs", str(pairs), "--seconds", "1"])
 
 
-def test_pairs_alternate_and_the_claim_is_counted(tmp_path, capsys):
+def test_pairs_alternate_and_every_metric_is_counted(tmp_path, capsys):
     status = run(checkout(tmp_path, "p", 0.34), checkout(tmp_path, "c", 0.32), pairs=3)
     out = capsys.readouterr().out
     assert status == 0
@@ -50,7 +50,10 @@ def test_pairs_alternate_and_the_claim_is_counted(tmp_path, capsys):
            "digest sha256:ab12" in out
     assert "batch_s: parent 0.3400 (0.3400-0.3400) 0.0000; " \
            "change 0.3200 (0.3200-0.3200) 0.0000" in out
-    assert "batch_s: change better in 3/3 pairs; medians 0.3400 -> 0.3200 (-5.9%)" in out
+    assert "change better in 3/3 pairs; medians 0.3400 -> 0.3200 (-5.9%), " \
+           "difference 0.0200 against the parent's IQR 0.0000" in out
+    # both sides read 37.5 MiB: the change is better in no pair
+    assert "change better in 0/3 pairs; medians 37.5000 -> 37.5000 (+0.0%)" in out
 
 
 @pytest.mark.parametrize("change", [

@@ -8,13 +8,16 @@ reference: metamorphic relations (Chen, Cheung & Yiu, "Metamorphic testing",
   of G, so the count stays and ω grows by 3.
 - A relabelling of the vertices with a shuffle of the edge order is the same
   graph, so the count and ω stay.
+- The join of two edgeless graphs of a and b vertices, K_{a,b}, has its
+  a·b edges as its maximal cliques, and ω = 2.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from tricliq import Graph, enumerate_maximal_cliques, max_clique_exact
+from tricliq import (Graph, complete_multipartite, enumerate_maximal_cliques,
+                     max_clique_exact)
 
 from conftest import CORPUS_SLICE, corpus_graph, planted_sparse
 from test_oracle import graphs
@@ -74,3 +77,13 @@ def test_counts_add_over_a_union_of_two_large_sparse_graphs():
     h = planted_sparse(10000, 10, [7, 9], seed=2)
     counts = len(enumerate_maximal_cliques(g)), len(enumerate_maximal_cliques(h))
     assert len(enumerate_maximal_cliques(disjoint_union(g, h))) == sum(counts)
+
+
+def test_a_large_complete_bipartite_graph_has_its_edges_as_cliques():
+    # K_{50000,2}: every low label is a leaf beside the two hubs 50001 and
+    # 50002, and no edge has a common neighbour.  The triangle pass tests
+    # each edge from its hub end, scanning the leaf's two neighbours; from
+    # the leaf end it would scan a hub's 50000, about 5·10⁹ probes in all
+    g = complete_multipartite([50000, 2])
+    assert len(enumerate_maximal_cliques(g)) == g.m == 100000
+    assert max_clique_exact(g).omega == 2

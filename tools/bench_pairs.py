@@ -12,12 +12,13 @@ runs first alternates from pair to pair, the parent first in pair 1.  Of a
 run's output it reads only the ``digest`` line and the last line, the
 result as one JSON object; it changes nothing in either checkout.
 
-It prints each run's end-to-end metrics and digest, then per side the
-median, quartiles and interquartile range of each metric, and the claimed
-metric's (``--claim``, default ``batch_s``) win count: the pairs in which
-the change reads better, as ``BENCHMARK.json`` in the change's checkout
-defines better.  It exits 1 if any run fails, reports ``"correct": false``,
-or prints a digest other than the first run's.
+It prints each run's metrics and digest, then for each end-to-end metric
+of ``BENCHMARK.json`` in the change's checkout: per side the median,
+quartiles and interquartile range, the pairs in which the change reads
+better (in the direction that file declares), and the difference of the
+medians beside the parent's interquartile range.  It exits 1 if any run
+fails, reports ``"correct": false``, or prints a digest other than the
+first run's.
 """
 
 from __future__ import annotations
@@ -56,13 +57,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def lower_is_better(checkout: str, metric: str) -> bool:
+def lower_is_better(checkout: str) -> dict[str, bool]:
+    """Each end-to-end metric of the checkout's ``BENCHMARK.json``: whether
+    lower reads better."""
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
-    for entry in declared["end_to_end"] + declared.get("per_layer", []):
-        if entry["name"] == metric:
-            return entry["better"] == "lower"
-    raise SystemExit(f"{metric} is not a metric of BENCHMARK.json")
+    return {entry["name"]: entry["better"] == "lower"
+            for entry in declared["end_to_end"]}
 
 
 def parse_args(argv):
@@ -73,7 +74,6 @@ def parse_args(argv):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, required=True)
-    p.add_argument("--claim", default="batch_s", help="the metric a gain is claimed on")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -83,7 +83,7 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     checkouts = {"parent": args.parent, "change": args.change}
-    lower = lower_is_better(args.change, args.claim)
+    lower = lower_is_better(args.change)
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -95,22 +95,21 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs, "
           f"--seconds {args.seconds}: median (quartiles) IQR")
-    for metric in runs["parent"][0]["metrics"]:
+    for metric, lower_better in lower.items():
+        values = [[r["metrics"][metric] for r in runs[side]] for side in SIDES]
         cells = []
-        for side in SIDES:
-            q1, median, q3 = quartiles([r["metrics"][metric] for r in runs[side]])
+        for side, side_values in zip(SIDES, values):
+            q1, median, q3 = quartiles(side_values)
             cells.append(f"{side} {median:.4f} ({q1:.4f}-{q3:.4f}) {q3 - q1:.4f}")
+        wins = sum((c < p) if lower_better else (c > p) for p, c in zip(*values))
+        q1, parent_median, q3 = quartiles(values[0])
+        change_median = statistics.median(values[1])
         print(f"  {metric}: " + "; ".join(cells))
-
-    claimed = [[r["metrics"][args.claim] for r in runs[side]] for side in SIDES]
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(*claimed))
-    q1, parent_median, q3 = quartiles(claimed[0])
-    change_median = statistics.median(claimed[1])
-    print(f"{args.claim}: change better in {wins}/{args.pairs} pairs; medians "
-          f"{parent_median:.4f} -> {change_median:.4f} "
-          f"({100 * (change_median / parent_median - 1):+.1f}%), "
-          f"difference {abs(change_median - parent_median):.4f} against the "
-          f"parent's IQR {q3 - q1:.4f}")
+        print(f"    change better in {wins}/{args.pairs} pairs; medians "
+              f"{parent_median:.4f} -> {change_median:.4f} "
+              f"({100 * (change_median / parent_median - 1):+.1f}%), "
+              f"difference {abs(change_median - parent_median):.4f} against "
+              f"the parent's IQR {q3 - q1:.4f}")
 
     every = runs["parent"] + runs["change"]
     status = 0
