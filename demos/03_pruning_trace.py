@@ -16,11 +16,12 @@ print(f"g3: n={g3.n} m={g3.m}")
 print(f"{'i':>2} {'MIN':>4} {'MAX':>4} {'alive':>6} {'cut':>5}  min-weight edges")
 for r in trace.records:
     print(f"{r.index:>2} {r.min_weight:>4} {r.max_weight:>4} "
-          f"{len(r.surviving):>6} {len(r.removed):>5}  {list(r.min_edges)}")
+          f"{len(r.surviving):>6} {r.removed_count:>5}  {list(r.min_edges)}")
 
 main = trace.main_iteration()
-print(f"\nmain iteration: {trace.main_index} (MIN={main.min_weight})")
+print(f"\nmain iteration: {main.index} (MIN={main.min_weight})")
 print(f"surviving triangle ids: {list(main.surviving)}")
+# the whole listing numbers its triangles 1..T: triangle c sits at c - 1
 verts = sorted({v for c in main.surviving
-                for v in trace.triangle_by_id(c).vertices})
+                for v in trace.triangles[c - 1].vertices})
 print(f"vertices spanned by the survivors: {verts}")

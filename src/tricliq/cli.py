@@ -121,7 +121,7 @@ def cmd_trace(g: Graph, args) -> int:
         print(f"{r.index}  {r.min_weight}  {r.max_weight}  "
               f"{alive}  {edges}")
         alive -= r.removed_count
-    print(f"main iteration: {trace.main_index}")
+    print(f"main iteration: {trace.main_iteration().index}")
     return 0
 
 

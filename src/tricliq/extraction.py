@@ -41,20 +41,27 @@ class CliqueResult:
 
     ``seed_edges`` lists the minimum-weight edge chosen at each level, by
     its id in the input graph; ``recursion_depth`` counts the levels after
-    the first.  ``witness_triangles`` are the ids (in the input graph's
-    enumeration) of every triangle lying fully inside the returned vertex set.
+    the first, and a result with no seed is ``degenerate``.
+    ``witness_triangles`` are the ids (in the input graph's enumeration) of
+    every triangle lying fully inside the returned vertex set.
     """
 
     vertices: frozenset[int]
     witness_triangles: tuple[int, ...]
     seed_edges: tuple[int, ...]
     is_verified_clique: bool
-    recursion_depth: int
-    degenerate: bool = False
 
     @property
     def size(self) -> int:
         return len(self.vertices)
+
+    @property
+    def recursion_depth(self) -> int:
+        return max(len(self.seed_edges) - 1, 0)
+
+    @property
+    def degenerate(self) -> bool:
+        return not self.seed_edges
 
     @property
     def fallback_used(self) -> bool:
@@ -119,13 +126,7 @@ def _grow(
         h = record.vertices_on(edge)
         level = level.inside(h)
         if is_clique(g, h):
-            return CliqueResult(
-                vertices=h,
-                witness_triangles=tuple(level.ids),
-                seed_edges=tuple(seeds),
-                is_verified_clique=True,
-                recursion_depth=len(seeds) - 1,
-            )
+            return CliqueResult(h, tuple(level.ids), tuple(seeds), True)
         if len(h) == n:
             # cannot happen: if the seed's surviving triangles span all n
             # vertices, the seed weighs n - 2, so MIN is the most any edge
@@ -161,14 +162,7 @@ def extract_max_clique(
     trace = full_trace(g, mode, triangles)
     if not trace.records:
         vertices = frozenset(g.endpoints(1) if g.m else (1,))
-        return CliqueResult(
-            vertices=vertices,
-            witness_triangles=(),
-            seed_edges=(),
-            is_verified_clique=is_clique(g, vertices),
-            recursion_depth=0,
-            degenerate=True,
-        )
+        return CliqueResult(vertices, (), (), is_clique(g, vertices))
     record = trace.main_iteration()
     return _grow(g, trace.triangles, record, record.min_edges[0], mode)
 

@@ -26,16 +26,16 @@ inside H, which costs in proportion to that store, not to the graph's
 triangle count.
 
 Records keep only what each iteration decided: MIN, MAX, the minimum
-edges and how many triangles it removed, and they compare, hash and
-print by those stored fields alone.  They hold no removal lists,
-and no read builds any: ``at`` is the one record of removals.  An
-iteration's surviving ids are rebuilt from ``at`` when read, so a caller
-pays for them only when it asks, and the JSON log's weights come from one
-decrement replay.  The per-edge lists outlive the peel, and a record reads
-its own triangles off them in time proportional to an edge's weight, not
-T: ``IterationRecord.removed`` reads its minimum edges' lists, and
-``IterationRecord.vertices_on`` reads a seed edge's surviving triangles,
-the candidate subgraph extraction grows.
+edges and how many triangles it removed.  They compare, hash and print by
+those stored fields alone, and hold no removal lists: ``at`` is the one
+record of removals, and each question about it has one reader.
+``Trace.write_json`` groups it by iteration for the log's ``removed_ids``
+and replays its decrements for the log's weights.
+``IterationRecord.surviving`` rebuilds an iteration's surviving ids from
+it when read, so a caller pays for them only when it asks.  The per-edge
+lists outlive the peel: ``IterationRecord.vertices_on`` reads the vertices
+of a seed edge's surviving triangles, the candidate subgraph extraction
+grows, off that edge's list in time proportional to its weight, not T.
 
 The JSON log has one weight vector per record, O(records * m) numbers.
 ``Trace.write_json`` is the one writer of its format: it writes the log one
@@ -48,7 +48,6 @@ them, and ``tricliq trace --json`` streams through it.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
@@ -57,7 +56,7 @@ from operator import le
 from typing import Callable
 
 from .graph import Graph, GraphError
-from .triangles import Triangle, TriangleStore, enumerate_triangles
+from .triangles import TriangleStore, enumerate_triangles
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_EARLY_STOP = "early-stop"
@@ -87,14 +86,13 @@ class _Removals:
 class IterationRecord:
     """One pruning iteration, before its removal is applied.
 
-    ``removed`` is the subset of ``surviving`` touching a minimum-weight
-    edge; the next iteration's surviving set is ``surviving`` minus
-    ``removed``.  Neither is stored: both are read off the trace's removal
-    state on each read, ``surviving`` in O(T) and ``removed`` in the summed
-    weights of the minimum edges, whose lists it reads.  ``removed_count`` is
-    ``len(removed)``, stored by the peel.  Records compare, hash and print
-    by what the peel stored: index, MIN, MAX, minimum edges and removed
-    count, not by the removal state.
+    ``surviving`` holds the ids of the triangles alive at its start; it is
+    not stored, but read off the trace's removal state in O(T) on each
+    read.  ``removed_count`` is how many of them the iteration removed,
+    stored by the peel; which ones it removed is the JSON log's
+    ``removed_ids``.  Records compare, hash and print by what the peel
+    stored: index, MIN, MAX, minimum edges and removed count, not by the
+    removal state.
     """
 
     index: int
@@ -108,14 +106,6 @@ class IterationRecord:
     def surviving(self) -> tuple[int, ...]:
         r = self._removals
         return tuple(compress(r.store.ids, map(le, repeat(self.index), r.at)))
-
-    @property
-    def removed(self) -> tuple[int, ...]:
-        r, index = self._removals, self.index
-        at, through = r.at, r.through
-        ks = sorted({k for e in self.min_edges for k in through[e]
-                     if at[k] == index})
-        return tuple(map(r.store.ids.__getitem__, ks))
 
     def vertices_on(self, edge: int) -> frozenset[int]:
         """The vertices of the surviving triangles on ``edge``: the candidate
@@ -133,8 +123,10 @@ class IterationRecord:
 class Trace:
     """The full iteration history of ``triangles``: all of one graph's, or
     the subset passed to ``full_trace``.  It holds the removal state its
-    records share, which ``write_json`` replays.  A trace compares and
-    hashes by identity: its records do not determine that state."""
+    records share; ``write_json`` alone reads which triangles each record
+    removed off it, and ``main_iteration`` alone chooses the main record.
+    A trace compares and hashes by identity: its records do not determine
+    that state."""
 
     records: tuple[IterationRecord, ...]
     mode: str
@@ -145,37 +137,16 @@ class Trace:
         """The store the trace ran on, whose ids the records name."""
         return self._removals.store
 
-    @property
-    def main_index(self) -> int | None:
-        """Index of the main iteration: argmax of MIN_i, earliest on ties.
-
-        Under early-stop mode a trace that ended at a MIN=MAX iteration
-        uses that final iteration, mirroring the stop-on-equality runs.
-        """
-        if not self.records:
-            return None
-        if self.mode == MODE_EARLY_STOP:
-            last = self.records[-1]
-            if last.min_weight == last.max_weight:
-                return last.index
-        best = max(self.records, key=lambda r: (r.min_weight, -r.index))
-        return best.index
-
     def main_iteration(self) -> IterationRecord:
-        idx = self.main_index
-        if idx is None:
+        """The main iteration: the largest MIN, earliest on ties.  Under
+        early-stop mode a trace that ended at a MIN=MAX iteration takes
+        that final iteration, mirroring the stop-on-equality runs."""
+        if not self.records:
             raise EmptyTraceError("trace is empty: the graph has no triangles")
-        return self.records[idx]
-
-    def triangle_by_id(self, tid: int) -> Triangle:
-        """The triangle with id ``tid``, an exact int: ``True`` and ``1.0``
-        name none."""
-        ids = self.triangles.ids
-        if type(tid) is int:
-            i = bisect_left(ids, tid)
-            if i < len(ids) and ids[i] == tid:
-                return self.triangles[i]
-        raise GraphError(f"triangle {tid!r} is not in this trace")
+        last = self.records[-1]
+        if self.mode == MODE_EARLY_STOP and last.min_weight == last.max_weight:
+            return last
+        return max(self.records, key=lambda r: (r.min_weight, -r.index))
 
     def to_json_obj(self) -> list[dict]:
         """``json.loads`` of what ``write_json`` writes: one object per
@@ -240,7 +211,7 @@ def full_trace(
     """Iterate from the full triangle set until exhaustion and record each step.
 
     ``mode`` selects which record the trace designates as main (see
-    ``Trace.main_index``): ``"exhaustive"`` takes the largest MIN,
+    ``Trace.main_iteration``): ``"exhaustive"`` takes the largest MIN,
     ``"early-stop"`` the first iteration whose MIN equals MAX.  Both modes
     record the same iterations, because a MIN=MAX iteration removes every
     surviving triangle.

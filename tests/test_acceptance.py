@@ -83,7 +83,7 @@ def test_criterion_3_g1_trace_and_seeded_extraction(g1):
     assert trace.to_json_obj()[0]["weights"] == g1.expected["p0"]
     assert [(r.min_weight, r.max_weight) for r in trace.records] == [
         (2, 5), (2, 4), (3, 3)]
-    assert trace.main_index == 2
+    assert trace.main_iteration().index == 2
     result = cliques_per_min_edge(g).by_edge[4]
     assert sorted(result.vertices) == [1, 2, 3, 4, 5]
     assert len(result.witness_triangles) == 10

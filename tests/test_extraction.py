@@ -48,7 +48,7 @@ class TestSubgraphForEdge:
         c2 = trace.main_iteration().surviving
         h = subgraph_for_edge(g, c2, 4, trace.triangles)
         assert sorted(h) == [1, 2, 3, 4, 5]
-        assert sum(h.issuperset(trace.triangle_by_id(c).vertices)
+        assert sum(h.issuperset(trace.triangles[c - 1].vertices)
                    for c in c2) == 10
         assert is_clique(g, h)
 

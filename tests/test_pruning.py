@@ -19,6 +19,7 @@ from tricliq import (
     enumerate_triangles,
     extract_max_clique,
     full_trace,
+    load_fixture,
     max_clique_exact,
     moon_moser,
     weight_vectors,
@@ -32,6 +33,7 @@ from triangles_reference import reference_edge_weights
 from trace_reference import (
     EmptyIterationError,
     assert_matches_reference,
+    logged_removals,
     prune_step,
     reference_json_obj,
     reference_trace,
@@ -56,12 +58,12 @@ class TestG1Trace:
     def test_first_removal(self, g1):
         trace = full_trace(g1.graph)
         assert list(trace.records[0].min_edges) == [5, 15]
-        assert list(trace.records[0].removed) == [4, 10, 13, 20]
+        assert logged_removals(trace)[0] == [4, 10, 13, 20]
 
     def test_main_iteration_is_third(self, g1):
         trace = full_trace(g1.graph)
-        assert trace.main_index == 2
         rec = trace.main_iteration()
+        assert rec.index == 2
         assert len(rec.surviving) == 20
         assert list(rec.surviving) == g1.expected["c2"]
         assert rec.min_weight == 3
@@ -81,9 +83,8 @@ class TestG3Trace:
     def test_min_edges_and_removals(self, g3):
         trace = full_trace(g3.graph)
         got_edges = [list(r.min_edges) for r in trace.records]
-        got_removed = [list(r.removed) for r in trace.records]
         assert got_edges == g3.expected["min_edges_by_iteration"]
-        assert got_removed == g3.expected["removed_by_iteration"]
+        assert logged_removals(trace) == g3.expected["removed_by_iteration"]
 
     def test_early_stop_final_state(self, g3):
         trace = full_trace(g3.graph, mode=MODE_EARLY_STOP)
@@ -91,7 +92,7 @@ class TestG3Trace:
         assert last.min_weight == last.max_weight == 3
         assert len(last.surviving) == 10
         assert list(last.surviving) == g3.expected["final_surviving"]
-        assert trace.main_index == last.index
+        assert trace.main_iteration() is last
 
 
 class TestG2Trace:
@@ -99,7 +100,7 @@ class TestG2Trace:
         trace = full_trace(g2.graph)
         assert trace.to_json_obj()[0]["weights"] == g2.expected["p0"]
         assert (trace.records[0].min_weight, trace.records[0].max_weight) == (3, 5)
-        assert trace.main_index == 0
+        assert trace.main_iteration() is trace.records[0]
         assert list(trace.main_iteration().min_edges) == g2.expected["min_edges"]
 
 
@@ -110,8 +111,20 @@ def test_early_stop_changes_main_designation_only(g2):
     exhaustive = full_trace(g2.graph)
     early = full_trace(g2.graph, mode=MODE_EARLY_STOP)
     assert exhaustive.records == early.records
-    assert exhaustive.main_index == 0
-    assert early.main_index == len(early.records) - 1
+    assert exhaustive.main_iteration().index == 0
+    assert early.main_iteration().index == len(early.records) - 1
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g4"])
+def test_main_iteration_is_the_fixtures(name):
+    # each sidecar names its main iteration, and g4's also its MIN, MAX
+    # and minimum edges
+    want = load_fixture(name).expected
+    main = full_trace(load_fixture(name).graph).main_iteration()
+    assert main.index == want["main_iteration"]
+    if name == "g4":
+        assert (main.min_weight, main.max_weight, list(main.min_edges)) == (
+            want["main_min"], want["main_max"], want["main_min_edges"])
 
 
 def test_unknown_mode_rejected(g2):
@@ -142,11 +155,13 @@ class TestPruneStep:
         trace = full_trace(g)
         assert_matches_reference(g, trace, reference_trace(g, MODE_EXHAUSTIVE))
         got = trace.records[0]
-        weights = tuple(trace.to_json_obj()[0]["weights"])
-        assert (got.index, got.surviving, weights, got.min_weight,
-                got.max_weight, got.min_edges, got.removed) == (
+        logged = trace.to_json_obj()[0]
+        assert (got.index, got.surviving, tuple(logged["weights"]),
+                got.min_weight, got.max_weight, got.min_edges,
+                tuple(logged["removed_ids"]), got.removed_count) == (
             record.index, record.surviving, record.weights, record.min_weight,
-            record.max_weight, record.min_edges, record.removed)
+            record.max_weight, record.min_edges, record.removed,
+            len(record.removed))
         assert survivors == trace.records[1].surviving
 
 
@@ -155,13 +170,12 @@ class TestMainIteration:
         trace = full_trace(moon_moser(2))
         assert trace.records == ()
         assert trace.to_json_obj() == []
-        assert trace.main_index is None
         with pytest.raises(EmptyTraceError):
             trace.main_iteration()
 
     def test_single_triangle_graph(self):
         trace = full_trace(complete(3))
-        assert trace.main_index == 0
+        assert trace.main_iteration() is trace.records[0]
 
     def test_single_triangle_with_pendant_edges(self):
         # edges 1..3 form the triangle; 4 and 5 hang off it with weight 0
@@ -171,10 +185,10 @@ class TestMainIteration:
             assert_matches_reference(g, trace, reference_trace(g, mode))
             (rec,) = trace.records
             assert (rec.min_weight, rec.max_weight) == (1, 1)
-            assert rec.min_edges == (1, 2, 3) and rec.removed == (1,)
-            assert rec.surviving == (1,)
+            assert rec.min_edges == (1, 2, 3) and rec.removed_count == 1
+            assert rec.surviving == (1,) and logged_removals(trace) == [[1]]
             assert trace.to_json_obj()[0]["weights"] == [1, 1, 1, 0, 0]
-            assert trace.main_index == 0
+            assert trace.main_iteration() is rec
 
     def test_triangle_free_graph(self):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
@@ -192,8 +206,8 @@ class TestMainIteration:
                                      reference_trace(complete(n), MODE_EARLY_STOP))
             (rec,) = trace.records
             assert rec.min_weight == rec.max_weight == n - 2
-            assert len(rec.removed) == n * (n - 1) * (n - 2) // 6
-            assert trace.main_index == 0
+            assert rec.removed_count == n * (n - 1) * (n - 2) // 6
+            assert trace.main_iteration() is rec
 
     def test_moon_moser_first_iteration_already_uniform(self):
         for k in (3, 4):
@@ -220,24 +234,10 @@ def test_trace_of_a_triangle_subset_reports_their_ids():
     inside = enumerate_triangles(g).inside(frozenset({2, 3, 4, 5}))
     trace = full_trace(g, triangles=inside)
     assert [(r.min_weight, r.max_weight) for r in trace.records] == [(2, 2)]
-    record = trace.records[0]
-    assert record.surviving == record.removed == (7, 8, 9, 10)
+    assert trace.records[0].surviving == (7, 8, 9, 10)
+    assert logged_removals(trace) == [[7, 8, 9, 10]]
     assert trace.to_json_obj()[0]["weights"] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2]
-    assert trace.triangle_by_id(10) == inside[-1]
-    with pytest.raises(GraphError):
-        trace.triangle_by_id(1)
 
-
-
-@pytest.mark.parametrize("tid", [True, 1.0, "1", None])
-def test_triangle_by_id_takes_exact_int_ids(g3, tid):
-    # before, True and 1.0 found triangle 1, as ``bisect`` compares across
-    # numeric types
-    trace = full_trace(g3.graph)
-    assert trace.triangle_by_id(1).id == 1
-    with pytest.raises(GraphError) as err:
-        trace.triangle_by_id(tid)
-    assert str(err.value) == f"triangle {tid!r} is not in this trace"
 
 K4_LISTING = enumerate_triangles(complete(4))
 
@@ -448,21 +448,23 @@ def test_trace_invariants_on_random_graphs(n, p, seed):
     by_id = {t.id: t for t in tris}
     logged = trace.to_json_obj()
     previous = None
-    for rec in trace.records:
+    for rec, obj in zip(trace.records, logged):
+        removed = obj["removed_ids"]
         # sizes strictly decrease and the set relation C_{i+1} = C_i minus Q_i holds
         if previous is not None:
-            assert set(rec.surviving) == set(previous.surviving) - set(previous.removed)
+            assert set(rec.surviving) == set(previous.surviving) - set(previous_removed)
             assert len(rec.surviving) < len(previous.surviving)
         assert rec.min_weight <= rec.max_weight
-        assert rec.removed
+        assert removed and rec.removed_count == len(removed)
         # recompute P_i independently from the surviving ids
         recomputed = reference_edge_weights(g, [by_id[c] for c in rec.surviving])
-        assert list(recomputed) == logged[rec.index]["weights"]
+        assert list(recomputed) == obj["weights"]
         # Q_i is exactly the set of triangles touching a minimum-weight edge
         min_set = set(rec.min_edges)
         expected_q = [c for c in rec.surviving
                       if min_set & set(by_id[c].edges)]
-        assert list(rec.removed) == expected_q
+        assert removed == expected_q
+        previous, previous_removed = rec, removed
     assert len(trace.records) <= g.n * (g.n - 1) * (g.n - 2) // 6
 
 
@@ -566,13 +568,19 @@ def test_streaming_holds_one_record_not_the_log():
     assert peak <= 4 << 20
 
 
+def removed_ids_of_chunk(text: str) -> list[int]:
+    """The ``removed_ids`` of one record that ``write_json`` wrote."""
+    start = text.index('"removed_ids": [') + len('"removed_ids": ')
+    return json.loads(text[start:text.index("]", start) + 1])
+
+
 def test_a_trace_holds_no_removal_lists():
     # 162530 triangles.  Beyond the store, a trace holds the per-edge lists
     # of positions, the positions themselves and ``at``: about 72 bytes a
     # triangle.  A tuple of removed ids per record would add about 41.
-    # Writing the log, reading every record's removed count as the text
-    # table does, or reading every record's removed ids leaves no grouping
-    # of those positions by iteration behind, which would add about 38 more.
+    # Writing the log, or reading every record's removed count as the text
+    # table does, leaves no grouping of those positions by iteration
+    # behind, which would add about 38 more.
     g = gnp(200, 0.5, 1)
     store = enumerate_triangles(g)
     tracemalloc.start()
@@ -584,18 +592,18 @@ def test_a_trace_holds_no_removal_lists():
         held_after_log = tracemalloc.get_traced_memory()[0] - before
         removed_count = sum(r.removed_count for r in trace.records)
         held_after_counts = tracemalloc.get_traced_memory()[0] - before
-        removed_total = sum(len(r.removed) for r in trace.records)
-        held_after_removed = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(trace.triangles) == len(store) == 162530
     assert held <= 80 * len(store)
     assert held_after_log <= 80 * len(store)
     assert held_after_counts <= 80 * len(store)
-    assert held_after_removed <= 80 * len(store)
-    assert removed_count == removed_total == len(store)
-    removed = [r.removed for r in trace.records]
-    assert removed == [r.removed for r in full_trace(g, triangles=store).records]
+    # the records' removals, as the log names them, partition the ids
+    chunks = []
+    trace.write_json(chunks.append)
+    removed = list(map(removed_ids_of_chunk, chunks[:-1]))
+    assert [r.removed_count for r in trace.records] == list(map(len, removed))
+    assert removed_count == len(store)
     assert sorted(chain.from_iterable(removed)) == list(store.ids)
 
 
@@ -625,55 +633,12 @@ def test_the_peel_moves_only_edges_outside_the_minimum_set(
     trace = full_trace(g)
     edges = {t.id: t.edges for t in trace.triangles}
     want = 0
-    for r in trace.records:
+    for r, removed in zip(trace.records, logged_removals(trace)):
         minimum = set(r.min_edges)
-        want += sum(e not in minimum for tid in r.removed for e in edges[tid])
+        want += sum(e not in minimum for tid in removed for e in edges[tid])
     assert len(edges) == triangles
     # a peel that moved all three edges would make 3 * triangles moves
     assert CountingSet.removes == want == moves <= 2 * triangles
-
-
-class UnreadList(list):
-    """A ``list`` that may be indexed but not iterated."""
-
-    def __iter__(self):
-        raise AssertionError("a pass over every triangle")
-
-
-class CountingList(list):
-    """A ``list`` that counts the entries iterated from any instance."""
-
-    read = 0
-
-    def __iter__(self):
-        for k in super().__iter__():
-            CountingList.read += 1
-            yield k
-
-
-@pytest.mark.parametrize("g,triangles", [
-    (gnp(76, 0.5, 1), 8184),
-    (complete(8), 56),
-    (moon_moser(4), 108),
-], ids=["gnp76", "k8", "mm4"])
-def test_removed_reads_only_its_minimum_edges_lists(g, triangles):
-    # a record's removed ids are the positions on its minimum edges' lists
-    # that ``at`` marks with its index: ``at`` is indexed, never walked, and
-    # an edge is a minimum edge at most once, so reading every record reads
-    # each list once, three entries per triangle in all
-    trace = full_trace(g)
-    r = trace._removals
-    removals = pruning._Removals(
-        r.m, r.store, UnreadList(r.at),
-        {e: CountingList(ks) for e, ks in r.through.items()})
-    records = [dataclasses.replace(rec, _removals=removals)
-               for rec in trace.records]
-    CountingList.read = 0
-    assert [rec.removed for rec in records] == \
-        [rec.removed for rec in trace.records]
-    on_min_edges = sum(len(r.through[e]) for rec in trace.records
-                       for e in rec.min_edges)
-    assert CountingList.read == on_min_edges == 3 * triangles
 
 
 def test_records_of_two_traces_of_one_graph_are_equal_and_hash_equal(g3):
@@ -693,16 +658,16 @@ def test_traces_compare_and_hash_by_identity(g3):
 
 
 def test_records_differing_only_in_their_removals_are_equal(g1):
-    # iteration 0 removes triangles 4, 10, 13 and 20; the same record over
-    # removal state that leaves triangle 4 to iteration 1 names 10, 13, 20,
+    # iteration 0 removes triangles 4, 10, 13 and 20; the same record 1 over
+    # removal state that leaves triangle 4 to iteration 1 has it surviving,
     # but records compare and hash by what the peel stored, not by that state
-    record = full_trace(g1.graph).records[0]
+    record = full_trace(g1.graph).records[1]
     r = record._removals
     at = list(r.at)
     at[r.store.ids.index(4)] = 1
     other = dataclasses.replace(
         record, _removals=pruning._Removals(r.m, r.store, at, r.through))
-    assert (record.removed, other.removed) == ((4, 10, 13, 20), (10, 13, 20))
+    assert set(other.surviving) - set(record.surviving) == {4}
     assert record == other and other == record
     assert hash(record) == hash(other)
 
@@ -715,8 +680,8 @@ def test_record_repr_shows_its_removals(g1):
 
 @pytest.mark.parametrize("log_first", [False, True])
 def test_removed_is_an_ascending_tuple_of_ids(g3, log_first):
-    # the ids are read off the trace's removal state, whether or not the
-    # JSON log was written first; a subset's ids skip numbers
+    # the log names each record's removed ids in ascending order, the same
+    # whether or not it was written before; a subset's ids skip numbers
     g = complete(7)
     inside = enumerate_triangles(g).inside(frozenset(range(2, 8)))
     for trace, want in (
@@ -724,13 +689,12 @@ def test_removed_is_an_ascending_tuple_of_ids(g3, log_first):
             (full_trace(g, triangles=inside), [list(inside.ids)])):
         if log_first:
             streamed(trace)
-        got = [r.removed for r in trace.records]
-        assert [list(ids) for ids in got] == want
-        assert all(type(ids) is tuple and list(ids) == sorted(ids)
-                   and all(type(c) is int for c in ids) for ids in got)
+        got = logged_removals(trace)
+        assert got == want
+        assert all(ids == sorted(ids) and all(type(c) is int for c in ids)
+                   for ids in got)
         assert [r.removed_count for r in trace.records] == list(map(len, want))
-        streamed(trace)
-        assert [r.removed for r in trace.records] == got
+        assert logged_removals(trace) == got
 
 
 def omega_bound(trace) -> int:

@@ -17,16 +17,18 @@ from tricliq import FIXTURE_NAMES, Graph, full_trace, load_fixture, max_clique_e
 from tricliq.pruning import MODE_EARLY_STOP, MODE_EXHAUSTIVE
 
 from conftest import CORPUS_SLICE, corpus_graph
+from trace_reference import logged_removals
 from truss_reference import truss_numbers
 
 
 def trace_truss_numbers(g: Graph, trace) -> dict[int, int]:
     """Edge id -> 2 + the running maximum of MIN up to the iteration that
     removes the edge's last triangle, or 2 for an edge on no triangle."""
+    # the whole listing numbers its triangles 1..T: triangle c sits at c - 1
     last: dict[int, int] = {}
-    for record in trace.records:
-        for tid in record.removed:
-            for e in trace.triangle_by_id(tid).edges:
+    for record, removed in zip(trace.records, logged_removals(trace)):
+        for tid in removed:
+            for e in trace.triangles[tid - 1].edges:
                 last[e] = record.index
     running, top = [], 0
     for record in trace.records:

@@ -7,8 +7,10 @@ O(iterations * (T + m)), so the tests run it only on small graphs.
 
 ``surviving_weights`` counts each edge over a record's surviving triangles
 from scratch.  ``reference_json_obj`` builds the JSON log as one object from
-each record's fields and that count: ``Trace.write_json`` is held to
-``json.dumps`` of it byte for byte.
+each record's fields and that count, and each record's removed ids from the
+difference of its surviving ids and the next record's: ``Trace.write_json``
+is held to ``json.dumps`` of it byte for byte.  ``logged_removals`` reads
+the removed ids back out of the log, the one place a trace names them.
 """
 
 from __future__ import annotations
@@ -80,8 +82,7 @@ def reference_trace(g: Graph, mode: str) -> list[ReferenceRecord]:
     return records
 
 
-FIELDS = ("index", "min_weight", "max_weight", "min_edges", "removed",
-          "surviving")
+FIELDS = ("index", "min_weight", "max_weight", "min_edges", "surviving")
 
 
 def surviving_weights(g: Graph, trace, record) -> tuple[int, ...]:
@@ -97,28 +98,38 @@ def surviving_weights(g: Graph, trace, record) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def logged_removals(trace) -> list[list[int]]:
+    """Each record's ``removed_ids``, as the JSON log names them."""
+    return [o["removed_ids"] for o in trace.to_json_obj()]
+
+
 def assert_matches_reference(g: Graph, trace,
                              reference: list[ReferenceRecord]) -> None:
     """Every field of every record, the rebuilt ``surviving`` included,
     equals the reference's, and so does each record's weight vector counted
-    over it; so do the JSON export's weights."""
+    over it; so do the JSON export's weights and removed ids, and each
+    record's removed count."""
     assert len(trace.records) == len(reference)
     for got, want in zip(trace.records, reference):
         for name in FIELDS:
             assert getattr(got, name) == getattr(want, name), (got.index, name)
+        assert got.removed_count == len(want.removed), got.index
         assert surviving_weights(g, trace, got) == want.weights, got.index
-    assert [o["weights"] for o in trace.to_json_obj()] == \
-        [list(r.weights) for r in reference]
+    logged = trace.to_json_obj()
+    assert [o["weights"] for o in logged] == [list(r.weights) for r in reference]
+    assert [o["removed_ids"] for o in logged] == [list(r.removed) for r in reference]
 
 
 def reference_json_obj(g: Graph, trace) -> list[dict]:
     """One object per record of ``trace``, its weight vector counted afresh
-    over the record's surviving triangles: O(records * T)."""
+    over the record's surviving triangles, and its removed ids the ones that
+    do not survive it: O(records * T)."""
+    alive = [r.surviving for r in trace.records] + [()]
     return [{
         "i": r.index,
         "min": r.min_weight,
         "max": r.max_weight,
         "min_edges": list(r.min_edges),
-        "removed_ids": list(r.removed),
+        "removed_ids": sorted(set(before) - set(after)),
         "weights": list(surviving_weights(g, trace, r)),
-    } for r in trace.records]
+    } for r, before, after in zip(trace.records, alive, alive[1:])]
