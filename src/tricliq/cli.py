@@ -1,7 +1,7 @@
 """Command-line front end: generate, trace, clique, oracle, validate.
 
-Exit codes: 0 success, 1 input error, 2 budget exceeded, out of memory or
-recursion too deep, 3 internal invariant violation.
+Exit codes: 0 success, 1 input error, 2 budget exceeded or out of memory,
+3 internal invariant violation.
 
 Each command runs with CPython's cyclic garbage collector paused, and
 ``main`` restores the collector's state on every exit.  The pipeline builds
@@ -321,11 +321,6 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("error: input too large: out of memory", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # a subclass of RuntimeError, so it must be caught first
-        print("error: input too large: recursion limit exceeded",
-              file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

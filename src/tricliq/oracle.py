@@ -37,8 +37,11 @@ class BudgetExceededError(RuntimeError):
 @dataclass(frozen=True)
 class OracleResult:
     vertices: frozenset[int]
-    omega: int
     nodes_visited: int
+
+    @property
+    def omega(self) -> int:
+        return len(self.vertices)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -66,8 +69,8 @@ def max_clique_exact(g: Graph, budget: int = VISIT_BUDGET) -> OracleResult:
     the current clique plus every remaining candidate cannot beat the best
     found.  The root's branch on v searches v's later neighbours alone, so
     its visits and budget trips are those of one search over all n vertices.
-    A branch that the bound cuts at once is counted as its one visit without
-    a call.
+    The search loops over its path, ``clique``; ``left`` holds the untried
+    candidates of each depth above the deepest, which tries its lowest bit.
     """
     nbrs = g._neighbour_lists()
     degree = list(map(len, nbrs))
@@ -81,45 +84,42 @@ def max_clique_exact(g: Graph, budget: int = VISIT_BUDGET) -> OracleResult:
              for i, v in enumerate(order)]
     power = [1 << i for i in range(max(map(len, later)))]
     best: list[int] = []
-    visited = 0
-    labels: list[int] = []  # the current branch's candidates: later[i]
-    adj: list[int] = []  # adj[j]: the bits of later[labels[j]] among labels
-
-    def expand(current: list[int], candidates: int) -> None:
-        nonlocal best, visited
+    left: list[int] = []  # empty between the root's branches
+    visited = 1  # the root; n >= 1, so branch 0 follows and checks the budget
+    for i, labels in enumerate(later):
+        if g.n - i <= len(best):
+            break
         visited += 1
         if visited > budget:
             raise BudgetExceededError("max-clique search", budget)
-        if len(current) > len(best):
-            best = list(current)
-        while candidates:
-            if len(current) + candidates.bit_count() <= len(best):
-                return
+        if 1 + len(labels) <= len(best):
+            continue  # the bound cuts this branch at once
+        # adj[j]: the bits of later[labels[j]] among labels
+        adj = _local_masks(labels, later, power)[1]
+        clique = [i]
+        if not best:
+            best = [i]
+        candidates = (1 << len(labels)) - 1
+        while True:
+            if len(clique) + candidates.bit_count() <= len(best):
+                # no candidates left, or the bound cuts the rest: go up
+                if not left:
+                    break
+                candidates = left.pop()
+                clique.pop()
+                continue
             low = candidates & -candidates
             candidates ^= low
-            i = low.bit_length() - 1
-            expand(current + [labels[i]], candidates & adj[i])
-
-    try:
-        expand([], 0)  # the root's visit; its branches follow
-        for i, labels in enumerate(later):
-            if g.n - i <= len(best):
-                break
-            if 1 + len(labels) > len(best):
-                adj = _local_masks(labels, later, power)[1]
-                expand([i], (1 << len(labels)) - 1)
-            else:  # expand would cut this branch at its first bound: one visit
-                visited += 1
-                if visited > budget:
-                    raise BudgetExceededError("max-clique search", budget)
-    finally:
-        # expand reaches itself through its own closure cell; emptying the
-        # cell breaks that cycle, so reference counting frees the closure
-        # and its state on every exit, a budget trip included, with no
-        # help from the cyclic collector
-        del expand
-    return OracleResult(frozenset(map(order.__getitem__, best)), len(best),
-                        visited)
+            visited += 1
+            if visited > budget:
+                raise BudgetExceededError("max-clique search", budget)
+            j = low.bit_length() - 1
+            clique.append(labels[j])
+            left.append(candidates)
+            candidates &= adj[j]
+            if len(clique) > len(best):
+                best = clique[:]
+    return OracleResult(frozenset(map(order.__getitem__, best)), visited)
 
 
 def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[frozenset[int], ...]:
@@ -129,15 +129,16 @@ def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[fro
     degree, lowest label on ties, and the root branches on the vertices
     outside its neighbourhood, lowest first.  Each such branch v searches
     only N(v), in label order: P and X are bitsets over it, and R is a tuple
-    of labels.  Before the root's loop, one pass over the neighbour lists
-    finds the vertices on a triangle, testing each edge once for a common
-    neighbour from its end of higher degree, as in the listing of Chiba &
-    Nishizeki (1985), so each test scans the other end's shorter list.
-    Only their branches build bitsets.  A branch whose N(v) holds no
-    edge (v is on no triangle) is settled in one step: its maximal cliques
-    are v's edges to the vertices not yet searched, or {v} alone.  So every
-    pivot, visit and budget trip is that of the search over all vertex
-    labels.
+    of labels.  The search is a loop: a node with branches left waits on a
+    stack as (R, P, X, branches left) while its lowest branch is visited.
+    Before the root's loop, one pass over the neighbour lists finds the
+    vertices on a triangle, testing each edge once for a common neighbour
+    from its end of higher degree, as in the listing of Chiba & Nishizeki
+    (1985), so each test scans the other end's shorter list.  Only their
+    branches build bitsets.  A branch whose N(v) holds no edge (v is on no
+    triangle) is settled in one step: its maximal cliques are v's edges to
+    the vertices not yet searched, or {v} alone.  So every pivot, visit
+    and budget trip is that of the search over all vertex labels.
 
     Output is sorted by vertex tuple, so it is a canonical value independent
     of pivot choices.
@@ -147,30 +148,6 @@ def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[fro
     visited = 1  # the root
     if visited > budget:
         raise BudgetExceededError("maximal-clique enumeration", budget)
-    labels: list[int] = []  # the current branch's neighbours, ascending
-    adj: list[int] = []  # adj[i]: the neighbours of labels[i] among labels
-
-    def bk(r: tuple[int, ...], p: int, x: int) -> None:
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise BudgetExceededError("maximal-clique enumeration", budget)
-        if not p and not x:
-            found.append(tuple(sorted(r)))
-            return
-        pivot = -1
-        pivot_score = -1
-        for u in _bits(p | x):
-            score = (adj[u] & p).bit_count()
-            if score > pivot_score:
-                pivot, pivot_score = u, score
-        ext = p & ~adj[pivot]
-        for v in _bits(ext):
-            bit = 1 << v
-            bk(r + (labels[v],), p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
     # on_triangle[v]: v is on a triangle, i.e. N(v) holds an edge.  The
     # vertices are passed in (degree, label) order, and each edge is tested
     # once, from its later end u, so ``isdisjoint`` scans the shorter list:
@@ -188,32 +165,54 @@ def enumerate_maximal_cliques(g: Graph, budget: int = VISIT_BUDGET) -> tuple[fro
     power = [1 << i for i in range(top)]
     skip = set(nbrs[degree.index(top, 1)])  # the root's pivot's neighbours
     done: set[int] = set()  # the root's X: branch vertices already searched
-    try:
-        for v in range(1, g.n + 1):
-            if v in skip:
-                continue
-            labels = sorted(nbrs[v])
-            if on_triangle[v]:
-                bit, adj = _local_masks(labels, nbrs, power)
-                x = sum(map(bit.__getitem__, bit.keys() & done))
-                bk((v,), ((1 << len(labels)) - 1) ^ x, x)
-            else:
-                # no edge inside N(v): bk would visit this branch and then
-                # one leaf per neighbour w not yet searched, each the
-                # maximal clique {v, w}, or the leaf {v} if v is isolated
-                ws = [w for w in labels if w not in done]
-                visited += 1 + len(ws)
+    stack: list[tuple[tuple[int, ...], int, int, int]] = []
+    for v in range(1, g.n + 1):
+        if v in skip:
+            continue
+        labels = sorted(nbrs[v])  # this branch's neighbours, ascending
+        if on_triangle[v]:
+            # adj[i]: the neighbours of labels[i] among labels
+            bit, adj = _local_masks(labels, nbrs, power)
+            x = sum(map(bit.__getitem__, bit.keys() & done))
+            r, p = (v,), ((1 << len(labels)) - 1) ^ x
+            while True:  # visit the node (r, p, x)
+                visited += 1
                 if visited > budget:
                     raise BudgetExceededError("maximal-clique enumeration", budget)
-                if labels:
-                    found.extend((w, v) if w < v else (v, w) for w in ws)
-                else:
-                    found.append((v,))
-            done.add(v)
-    finally:
-        # as in max_clique_exact: bk's cell holds bk, and through it the
-        # whole ``found`` list; emptying it frees them without the collector
-        del bk
+                if p:
+                    pivot = -1
+                    pivot_score = -1
+                    for u in _bits(p | x):
+                        score = (adj[u] & p).bit_count()
+                        if score > pivot_score:
+                            pivot, pivot_score = u, score
+                    ext = p & ~adj[pivot]
+                    if ext:
+                        stack.append((r, p, x, ext))
+                elif not x:
+                    found.append(tuple(sorted(r)))
+                if not stack:
+                    break
+                # the deepest node with a branch left: take its lowest
+                r, p, x, ext = stack.pop()
+                low = ext & -ext
+                if ext ^ low:
+                    stack.append((r, p ^ low, x | low, ext ^ low))
+                j = low.bit_length() - 1
+                r, p, x = r + (labels[j],), p & adj[j], x & adj[j]
+        else:
+            # no edge inside N(v): the search would visit this branch and
+            # then one leaf per neighbour w not yet searched, each the
+            # maximal clique {v, w}, or the leaf {v} if v is isolated
+            ws = [w for w in labels if w not in done]
+            visited += 1 + len(ws)
+            if visited > budget:
+                raise BudgetExceededError("maximal-clique enumeration", budget)
+            if labels:
+                found.extend((w, v) if w < v else (v, w) for w in ws)
+            else:
+                found.append((v,))
+        done.add(v)
     found.sort()
     return tuple(map(frozenset, found))
 
@@ -242,17 +241,11 @@ def maghout_cliques(g: Graph, clause_budget: int = CLAUSE_BUDGET) -> tuple[froze
         raise BudgetExceededError("Maghout expansion clauses", clause_budget)
     clauses = g.complement().edges
     parent = list(range(g.n + 1))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
     for u, v in clauses:
-        parent[root(u)] = root(v)
+        parent[_root(parent, u)] = _root(parent, v)
     components: dict[int, list[tuple[int, int]]] = {}
     for u, v in clauses:
-        components.setdefault(root(u), []).append((u, v))
+        components.setdefault(_root(parent, u), []).append((u, v))
     terms = [0]
     for component in components.values():
         covers = _minimal_covers(component)
@@ -261,6 +254,13 @@ def maghout_cliques(g: Graph, clause_budget: int = CLAUSE_BUDGET) -> tuple[froze
     cliques = [tuple(_bits(full & ~t)) for t in terms]
     cliques.sort()
     return tuple(map(frozenset, cliques))
+
+
+def _root(parent: list[int], v: int) -> int:
+    """v's root in the union-find forest ``parent``, halving the path."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
 
 
 def _minimal_covers(clauses: Sequence[tuple[int, int]]) -> list[int]:

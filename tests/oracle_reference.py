@@ -39,7 +39,7 @@ def reference_max_clique(g: Graph, budget: int = 10_000_000) -> OracleResult:
             expand(current + [v], [u for u in candidates[i + 1:] if u in nbrs])
 
     expand([], order)
-    return OracleResult(frozenset(best), len(best), visited)
+    return OracleResult(frozenset(best), visited)
 
 
 def reference_bron_kerbosch(

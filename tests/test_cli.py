@@ -382,21 +382,27 @@ def test_exit_code_out_of_memory(capsys, monkeypatch, g3_path):
     assert err.count("\n") == 1 and "input too large" in err
 
 
-def test_exit_code_recursion_too_deep(capsys, tmp_path):
-    # the exact search recurses once per clique vertex, so K_80 needs about
-    # 80 frames more than the CLI's own call stack
+def test_exact_searches_need_no_recursion_depth(capsys, tmp_path):
+    # both exact searches are loops, so an omega of 80 needs no frames
+    # beyond the CLI's own call stack: 40 spare frames are plenty
     p = tmp_path / "k80.edges"
     p.write_text(format_edge_list(complete(80)))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
-        code, out, err = run(capsys, "oracle", str(p))
+        oracle = run(capsys, "oracle", str(p), "--json")
+        validate = run(capsys, "validate", str(p), "--json")
     finally:
         sys.setrecursionlimit(limit)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "input too large" in err
-    assert "recursion" in err
+    code, out, err = oracle
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert (obj["omega"], obj["nodes_visited"]) == (80, 81)
+    code, out, err = validate
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["omega"] == obj["heuristic_size"] == 80
+    assert obj["agree"] is True
 
 
 def test_validate_enumerates_triangles_once(capsys, monkeypatch, g3_path):

@@ -177,9 +177,9 @@ def test_trace_laws_on_any_graphs(g, seed, extra):
 
 
 def test_a_planted_clique_comes_back_from_a_large_skewed_graph():
-    # Chung-Lu n = 2000 at mean degree 10 has max MIN 15, so K_18 is the
-    # smallest clique the law covers; about a second in all
-    assert_planted_clique_returns(chung_lu(2000, 10, 2.2, seed=1), seed=1)
+    # Chung-Lu n = 20000 at mean degree 10 has max MIN 34, so K_37 is the
+    # smallest clique the law covers
+    assert_planted_clique_returns(chung_lu(20000, 10, 2.2, seed=1), seed=1)
 
 
 CLI_RUNS = (

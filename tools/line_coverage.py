@@ -35,9 +35,6 @@ ALLOWED = {
         "stand-in that raises the same message",
     ("cli.py", "sys.exit(main())"):
         "runs only as `python -m tricliq.cli`; the tests call main()",
-    ("cli.py", "except RecursionError:"):
-        "test_exit_code_recursion_too_deep runs this arm, but the "
-        "RecursionError that leads here has already switched the tracer off",
 }
 
 
