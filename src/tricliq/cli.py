@@ -219,8 +219,7 @@ def cmd_validate(g: Graph, args) -> int:
 
     t0 = time.perf_counter()
     try:
-        maximal = enumerate_maximal_cliques(g, budget=args.budget)
-        report["count_maximal"] = len(maximal)
+        report["count_maximal"] = len(enumerate_maximal_cliques(g, budget=args.budget))
     except BudgetExceededError as exc:
         report["count_maximal"] = None
         report["count_error"] = str(exc)
@@ -228,8 +227,8 @@ def cmd_validate(g: Graph, args) -> int:
     report["seconds_enumeration"] = round(time.perf_counter() - t0, 6)
 
     try:
-        mag = maghout_cliques(g, clause_budget=args.maghout_budget)
-        report["count_maghout"] = len(mag)
+        report["count_maghout"] = len(
+            maghout_cliques(g, clause_budget=args.maghout_budget))
     except BudgetExceededError as exc:
         report["count_maghout"] = None
         report["maghout_error"] = str(exc)

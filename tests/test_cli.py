@@ -1,14 +1,17 @@
 import gc
 import inspect
 import json
+import runpy
 import shlex
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from tricliq import (
     complete,
+    complete_multipartite,
     enumerate_triangles,
     format_edge_list,
     load_graph,
@@ -403,6 +406,47 @@ def test_exact_searches_need_no_recursion_depth(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["omega"] == obj["heuristic_size"] == 80
     assert obj["agree"] is True
+
+
+def test_validate_holds_one_clique_listing_at_a_time(capsys, tmp_path):
+    # the cocktail-party graph CP(12) has 2^12 maximal cliques; validate
+    # keeps each oracle's count, so Bron-Kerbosch's listing is freed before
+    # Maghout expands: 4.2 MiB peak, and 7.0 MiB when both were held
+    p = tmp_path / "cp12.edges"
+    p.write_text(format_edge_list(complete_multipartite([2] * 12)))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "validate", str(p), "--json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["count_maximal"] == obj["count_maghout"] == 2 ** 12
+    assert peak < 5.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["clique", "{k3}", "--json"], 0),
+    (["clique", "{k3}.missing"], 1),
+    (["oracle", "{k3}", "--budget", "0"], 2),
+], ids=["clique", "missing-file", "budget"])
+def test_python_dash_m_exits_with_mains_code(capsys, monkeypatch, tmp_path, argv,
+                                             expected):
+    # ``python -m tricliq.cli``, run in this process: the module runs afresh
+    # as __main__ and hands main's return value to sys.exit.  runpy warns
+    # if the module is already imported, so it leaves sys.modules meanwhile
+    k3 = tmp_path / "k3.edges"
+    k3.write_text(format_edge_list(complete(3)))
+    argv = [a.format(k3=k3) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    monkeypatch.setattr(sys, "argv", ["tricliq", *argv])
+    monkeypatch.delitem(sys.modules, "tricliq.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("tricliq.cli", run_name="__main__")
+    assert exc.value.code == expected
+    assert capsys.readouterr() == (out, err)
 
 
 def test_validate_enumerates_triangles_once(capsys, monkeypatch, g3_path):

@@ -15,6 +15,8 @@ The exact oracles:
 
 The pruning trace, which follows the graph and not its edge ids:
 
+- A disjoint union G ⊔ G′ keeps each part's truss numbers: each edge's
+  number, read off the union's trace, is the one read off its part's own.
 - A relabelling with an edge shuffle keeps the sequence of (MIN, MAX,
   removed count, number of minimum edges), and each edge keeps its truss
   number.
@@ -49,7 +51,7 @@ from tricliq.cli import main
 from conftest import CORPUS_SLICE, corpus_graph, planted_sparse
 from test_oracle import graphs
 from test_triangles import chung_lu
-from trace_reference import logged_removals
+from trace_reference import logged_removals, trace_truss_numbers
 from truss_reference import truss_numbers
 
 MODES = (MODE_EXHAUSTIVE, MODE_EARLY_STOP)
@@ -91,10 +93,19 @@ def count_and_omega(g: Graph) -> tuple[int, int]:
     return len(enumerate_maximal_cliques(g)), max_clique_exact(g).omega
 
 
+def truss_of(g: Graph, mode: str) -> dict[int, int]:
+    return trace_truss_numbers(g, full_trace(g, mode))
+
+
 def assert_laws(g: Graph, h: Graph, seed: int) -> None:
     count, omega = count_and_omega(g)
     h_count, h_omega = count_and_omega(h)
-    assert count_and_omega(disjoint_union(g, h)) == (count + h_count, max(omega, h_omega))
+    union = disjoint_union(g, h)
+    assert count_and_omega(union) == (count + h_count, max(omega, h_omega))
+    for mode in MODES:
+        # h's edges follow g's in the union, their ids shifted by g.m
+        parts = truss_of(g, mode) | {e + g.m: k for e, k in truss_of(h, mode).items()}
+        assert truss_of(union, mode) == parts
     assert count_and_omega(join_k3(g)) == (count, omega + 3)
     assert count_and_omega(shuffled(g, random.Random(seed))[0]) == (count, omega)
 

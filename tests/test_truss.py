@@ -17,25 +17,8 @@ from tricliq import FIXTURE_NAMES, Graph, full_trace, load_fixture, max_clique_e
 from tricliq.pruning import MODE_EARLY_STOP, MODE_EXHAUSTIVE
 
 from conftest import CORPUS_SLICE, corpus_graph
-from trace_reference import logged_removals
+from trace_reference import trace_truss_numbers
 from truss_reference import truss_numbers
-
-
-def trace_truss_numbers(g: Graph, trace) -> dict[int, int]:
-    """Edge id -> 2 + the running maximum of MIN up to the iteration that
-    removes the edge's last triangle, or 2 for an edge on no triangle."""
-    # the whole listing numbers its triangles 1..T: triangle c sits at c - 1
-    last: dict[int, int] = {}
-    for record, removed in zip(trace.records, logged_removals(trace)):
-        for tid in removed:
-            for e in trace.triangles[tid - 1].edges:
-                last[e] = record.index
-    running, top = [], 0
-    for record in trace.records:
-        top = max(top, record.min_weight)
-        running.append(top)
-    return {e: 2 + running[last[e]] if e in last else 2
-            for e in range(1, g.m + 1)}
 
 
 def assert_trace_is_truss_decomposition(g: Graph) -> None:

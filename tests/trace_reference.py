@@ -10,7 +10,8 @@ from scratch.  ``reference_json_obj`` builds the JSON log as one object from
 each record's fields and that count, and each record's removed ids from the
 difference of its surviving ids and the next record's: ``Trace.write_json``
 is held to ``json.dumps`` of it byte for byte.  ``logged_removals`` reads
-the removed ids back out of the log, the one place a trace names them.
+the removed ids back out of the log, the one place a trace names them, and
+``trace_truss_numbers`` reads each edge's truss number off them.
 """
 
 from __future__ import annotations
@@ -101,6 +102,23 @@ def surviving_weights(g: Graph, trace, record) -> tuple[int, ...]:
 def logged_removals(trace) -> list[list[int]]:
     """Each record's ``removed_ids``, as the JSON log names them."""
     return [o["removed_ids"] for o in trace.to_json_obj()]
+
+
+def trace_truss_numbers(g: Graph, trace) -> dict[int, int]:
+    """Edge id -> 2 + the running maximum of MIN up to the iteration that
+    removes the edge's last triangle, or 2 for an edge on no triangle."""
+    # the whole listing numbers its triangles 1..T: triangle c sits at c - 1
+    last: dict[int, int] = {}
+    for record, removed in zip(trace.records, logged_removals(trace)):
+        for tid in removed:
+            for e in trace.triangles[tid - 1].edges:
+                last[e] = record.index
+    running, top = [], 0
+    for record in trace.records:
+        top = max(top, record.min_weight)
+        running.append(top)
+    return {e: 2 + running[last[e]] if e in last else 2
+            for e in range(1, g.m + 1)}
 
 
 def assert_matches_reference(g: Graph, trace,

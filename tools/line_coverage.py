@@ -1,31 +1,33 @@
-"""Line coverage of ``src/tricliq`` by the tier-1 tests, with the standard
-library alone.
-
-Run it from the repository root, with the package importable from ``src``:
+"""Line coverage of the ``tricliq`` that Python would import (the install,
+or the checkout's ``src``) by the tier-1 tests, with the standard library
+alone.  From the repository root:
 
     PYTHONPATH=src python tools/line_coverage.py -W error
 
-Its arguments are pytest options.  pytest runs ``tests/`` in this process
-under a ``sys.settrace`` tracer that records each line run in a file of the
-package.  The script exits 1 if the tests fail, or if an executable line
-(one the compiler gave an instruction) never ran outside the statements
-named in ``ALLOWED``.  The tracer is armed again before each test: an
-exception raised inside it, such as a ``RecursionError`` at the limit,
-switches it off for the rest of that test.
+Its arguments are pytest options.  The package is located, not imported, so
+that its modules' top levels run under the tracer too.  pytest then runs
+this repository's ``tests/`` in this process under one ``sys.settrace``
+tracer, installed once, that records each line run in a file of the
+package.  Nothing replaces it: Hypothesis installs a tracer only when
+``sys.gettrace()`` is ``None``, and nothing in the package recurses, so no
+``RecursionError`` inside it switches it off (were it off, the lines after
+would count as not run).  The script exits 1 if the tests fail, or if an
+executable line (one the compiler gave an instruction) never ran outside
+the statements named in ``ALLOWED``.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "tricliq"
+TESTS = Path(__file__).resolve().parent.parent / "tests"
 
-# (file under src/tricliq, the first line of a statement, stripped): why no
+# (file of the package, the first line of a statement, stripped): why no
 # test runs it.  The entry allows every line of that statement (or except
 # clause), and must name exactly one
 ALLOWED = {
@@ -33,8 +35,6 @@ ALLOWED = {
         "the peel's stall guard: every iteration removes the triangles of its "
         "minimum edges, so it cannot stall; the CLI's exit 3 is tested with a "
         "stand-in that raises the same message",
-    ("cli.py", "sys.exit(main())"):
-        "runs only as `python -m tricliq.cli`; the tests call main()",
 }
 
 
@@ -96,8 +96,8 @@ class LineTracer:
     lines are not waited for, so that a code object holding one, such as
     the peel's, still stops being traced."""
 
-    def __init__(self, allowed: dict[Path, set[int]]) -> None:
-        self.allowed = allowed
+    def __init__(self, package: Path, allowed: dict[Path, set[int]]) -> None:
+        self.package, self.allowed = package, allowed
         self.ran: dict[Path, set[int]] = {}
         self.tracers: dict[object, CodeLines | None] = {}
 
@@ -111,7 +111,7 @@ class LineTracer:
 
     def new_local(self, code) -> CodeLines | None:
         path = Path(code.co_filename).resolve()
-        if PACKAGE not in path.parents:
+        if self.package not in path.parents:
             return None
         todo = {line for _, _, line in code.co_lines() if line}
         todo -= self.allowed.get(path, set())
@@ -124,37 +124,36 @@ class LineTracer:
         return CodeLines(code, todo, self.ran.setdefault(path, set()),
                          self.tracers)
 
-    def pytest_runtest_protocol(self, item, nextitem):
-        sys.settrace(self)
-
 
 def main(argv: list[str]) -> int:
+    spec = importlib.util.find_spec("tricliq")
+    if spec is None:
+        raise SystemExit("tricliq is not importable: install it, or set PYTHONPATH=src")
+    package = Path(spec.origin).resolve().parent
     sources = {path: path.read_text(encoding="utf-8")
-               for path in sorted(PACKAGE.rglob("*.py"))}
-    allowed = {path: allowed_lines(str(path.relative_to(PACKAGE)), source)
+               for path in sorted(package.rglob("*.py"))}
+    allowed = {path: allowed_lines(str(path.relative_to(package)), source)
                for path, source in sources.items()}
-    tracer = LineTracer(allowed)
+    tracer = LineTracer(package, allowed)
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *argv,
-                              str(ROOT / "tests")], plugins=[tracer])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", *argv, str(TESTS)])
     finally:
         sys.settrace(None)
     module = sys.modules.get("tricliq")
-    if module is None or Path(module.__file__).resolve().parent != PACKAGE:
-        print(f"tricliq was not imported from {PACKAGE}; set PYTHONPATH=src")
+    if module is None or Path(module.__file__).resolve().parent != package:
+        print(f"the tests did not import tricliq from {package}")
         return 1
     missing = []
     for path, source in sources.items():
         text = source.splitlines()
         lines = executable_lines(compile(source, str(path), "exec"))
         for line in sorted(lines - allowed[path] - tracer.ran.get(path, set())):
-            missing.append(f"src/tricliq/{path.relative_to(PACKAGE)}:{line}: "
-                           f"{text[line - 1].strip()}")
+            missing.append(f"{path}:{line}: {text[line - 1].strip()}")
     for line in missing:
         print(f"not run: {line}")
-    print(f"{len(missing)} executable lines of src/tricliq not run, "
-          f"outside {len(ALLOWED)} allowed statements")
+    print(f"{len(missing)} executable lines of {package} not run, "
+          f"outside {len(ALLOWED)} allowed statement(s)")
     if status != 0:
         print(f"pytest exited {int(status)}")
     return 1 if status != 0 or missing else 0
